@@ -1,7 +1,8 @@
 //! Criterion bench: MAI feature extraction and normalisation per frame.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use subset3d_features::{extract_frame_features, FeatureKind, Normalization, Pca};
+use subset3d_features::{extract_frame_features, FeatureKind, Normalization};
+use subset3d_stats::Pca;
 use subset3d_trace::gen::{GameProfile, CORPUS_SEED};
 use subset3d_trace::Workload;
 
@@ -32,8 +33,9 @@ fn bench_features(c: &mut Criterion) {
     let w = workload(1000);
     let mut m = extract_frame_features(&w.frames()[0], &w, FeatureKind::standard_set());
     m.normalize(Normalization::ZScore);
+    let rows = m.to_rows();
     group.bench_function("pca_top4_1000", |b| {
-        b.iter(|| Pca::fit(&m, 4).unwrap().explained_ratio())
+        b.iter(|| Pca::fit(&rows, 4).unwrap().explained_ratio())
     });
     group.finish();
 }

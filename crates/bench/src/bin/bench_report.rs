@@ -6,11 +6,10 @@
 //! Three scenarios, all on the same generated game trace:
 //!
 //! * **workload_sim** — one cold `simulate_workload` pass in the
-//!   out-of-the-box configuration (`CacheMode::Auto`, default threads).
-//!   Generated traces repeat a few thousand draw *shapes* across tens of
-//!   thousands of draws, so shape-grain memoization pays even on a cold
-//!   pass; if a stream ever stops repeating, the adaptive policy
-//!   bypasses the cache and periodically re-probes;
+//!   out-of-the-box configuration (`CacheMode::Off`, default threads). A
+//!   single pass never revisits a batch, so the default policy computes
+//!   no digests and retains nothing: any speedup here is the thread
+//!   pool's;
 //! * **iterated_sweep** — `SWEEP_PASSES` passes of the six-candidate
 //!   pathfinding sweep through a `SweepSession`, the shape of the
 //!   iterative pathfinding loop. Every pass after the first is served
@@ -18,12 +17,9 @@
 //! * **subsetting_pipeline** — clustering + evaluation end to end.
 //!
 //! Every scenario is also run single-threaded with memoization off (the
-//! pre-executor behaviour); each timing is the best of three runs.
-//!
-//! Per-scenario cache statistics are deltas over each scenario's own
-//! instrumented pass on a shared simulator, so back-to-back scenarios
-//! report their actual (different) cache behaviour rather than an
-//! identical fresh-run transcript.
+//! pre-executor behaviour); each timing is the best of three runs. Only
+//! the iterated sweep engages the batch cache, so it alone reports a
+//! batch hit rate.
 //!
 //! The report additionally measures the cost of `subset3d-obs` metric
 //! recording and flight-mode event tracing (`metrics_overhead_pct` and
@@ -57,14 +53,9 @@ fn rate(r: Option<f64>) -> String {
 
 fn cache_summary(name: &str, s: &Scenario) {
     println!(
-        "{name:<20} speedup {:.3} | shape cache {} | batch cache {} | \
-         bypassed {} | auto-disables {} | reprobes {}",
+        "{name:<20} speedup {:.3} | batch cache {}",
         s.speedup,
-        rate(s.cache_hit_rate),
         rate(s.batch_cache_hit_rate),
-        s.bypassed,
-        s.auto_disables,
-        s.reprobes,
     );
 }
 

@@ -6,8 +6,9 @@
 
 use subset3d_bench::{header, pct};
 use subset3d_core::{SubsetConfig, Subsetter, Table};
-use subset3d_features::{extract_frame_features, Normalization, Pca};
+use subset3d_features::{extract_frame_features, Normalization};
 use subset3d_gpusim::{ArchConfig, Simulator};
+use subset3d_stats::Pca;
 use subset3d_trace::gen::{GameProfile, CORPUS_SEED};
 
 fn main() {
@@ -25,7 +26,7 @@ fn main() {
         extract_frame_features(&workload.frames()[20], &workload, config.features.clone());
     matrix.normalize(Normalization::ZScore);
     matrix.apply_cost_weights();
-    let full_pca = Pca::fit(&matrix, matrix.cols()).expect("pca");
+    let full_pca = Pca::fit(&matrix.to_rows(), matrix.cols()).expect("pca");
     let total: f64 = full_pca.explained_variance().iter().sum();
     print!("variance captured by top-k components: ");
     let mut acc = 0.0;

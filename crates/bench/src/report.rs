@@ -39,42 +39,25 @@ pub struct Measurement {
 
 /// A baseline-vs-optimized comparison on one workload shape.
 ///
-/// Cache counters come from a dedicated instrumented pass on a simulator
-/// *shared across scenarios*, reported as the delta over that scenario's
-/// own pass ([`subset3d_gpusim::CacheStats::delta`]). Fresh-simulator
-/// stats passes used to make every scenario's counters an identical
-/// transcript of the same cold run over the same workload.
+/// Reports written before the draw-grain cache was removed also carry
+/// `cache_hit_rate`, `bypassed`, `auto_disables` and `reprobes`; those
+/// keys are ignored on load, so old reports still diff.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// One thread, memoization off — the pre-executor behaviour.
     pub single_thread_uncached: Measurement,
-    /// Default threads, memoization on.
+    /// Default threads, the path's own cache policy: the out-of-the-box
+    /// `CacheMode::Off` for single passes, the session's `CacheMode::On`
+    /// for the iterated sweep.
     pub parallel_memoized: Measurement,
     /// `single_thread_uncached / parallel_memoized` wall-time ratio.
     pub speedup: f64,
-    /// Draw-shape cache hit rate of the optimized arm; `null` when the
-    /// cache never served a lookup (zero hits) — whether it was never
-    /// consulted at all or only paid probe-window misses before
-    /// disabling itself. Both cases mean "memoization contributed
-    /// nothing here", and reporting the probe window's `0.0` as a rate
-    /// made scenarios flap between `0.0` and `null`.
-    pub cache_hit_rate: Option<f64>,
     /// Batch cache hit rate of the optimized arm; `null` when no batch
-    /// lookup was served, by the same convention as `cache_hit_rate`.
-    /// The alias keeps pre-columnar reports (which recorded a per-frame
-    /// cache) deserializable.
+    /// lookup was served (zero hits), as on single-pass scenarios, whose
+    /// cache is off. The alias keeps pre-columnar reports (which
+    /// recorded a per-frame cache) deserializable.
     #[serde(alias = "frame_cache_hit_rate")]
     pub batch_cache_hit_rate: Option<f64>,
-    /// Draws the optimized arm computed without probing the shape cache
-    /// (adaptive bypass windows).
-    #[serde(default)]
-    pub bypassed: u64,
-    /// Times the adaptive policy disabled the shape cache mid-stream.
-    #[serde(default)]
-    pub auto_disables: u64,
-    /// Times a disabled cache re-armed to probe for a profitable phase.
-    #[serde(default)]
-    pub reprobes: u64,
 }
 
 /// Everything `bench_report` measures — the schema of
@@ -482,18 +465,14 @@ fn measurement(wall_ms: f64, draws: usize) -> Measurement {
     }
 }
 
-fn scenario(draws: usize, base: f64, opt: f64, stats: subset3d_gpusim::CacheStats) -> Scenario {
+fn scenario(draws: usize, base: f64, opt: f64, batch_cache_hit_rate: Option<f64>) -> Scenario {
     Scenario {
         // 0.0 marks "not measurable" (optimized arm too fast to time);
         // `bench_diff` treats it as a degenerate baseline, not a ratio.
         speedup: if opt > 0.0 { base / opt } else { 0.0 },
         single_thread_uncached: measurement(base, draws),
         parallel_memoized: measurement(opt, draws),
-        cache_hit_rate: stats.hit_rate(),
-        batch_cache_hit_rate: stats.batch_hit_rate(),
-        bypassed: stats.bypassed,
-        auto_disables: stats.auto_disables,
-        reprobes: stats.reprobes,
+        batch_cache_hit_rate,
     }
 }
 
@@ -510,22 +489,11 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
 
     // Thread-count changes happen OUTSIDE the timed closures: resizing
     // spawns a fresh pool, and measuring that re-spawn used to shave the
-    // parallel arms' speedups below their true value.
-
-    // One simulator feeds every non-sweep scenario's instrumented stats
-    // pass; each scenario snapshots the counters first and reports the
-    // delta over its own pass. Per-scenario fresh simulators used to
-    // replay the same cold transcript, so every scenario published
-    // byte-identical cache stats.
-    let stats_sim = Simulator::new(ArchConfig::baseline());
+    // parallel arms' speedups below their true value. The single-pass
+    // scenarios run the out-of-the-box `CacheMode::Off`, which makes no
+    // batch lookups, so they report no hit rate.
 
     // -- workload simulation (cold, out-of-the-box) --------------------
-    subset3d_exec::set_thread_count(threads);
-    let sim_stats = {
-        let before = stats_sim.cache_stats();
-        stats_sim.simulate_workload(&workload).expect("simulate");
-        stats_sim.cache_stats().delta(&before)
-    };
     subset3d_exec::set_thread_count(1);
     let base = timer(
         &mut || {
@@ -543,15 +511,15 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
         },
         RUNS,
     );
-    let workload_sim = scenario(draws, base, opt, sim_stats);
+    let workload_sim = scenario(draws, base, opt, None);
 
     // -- iterated pathfinding sweep ------------------------------------
-    let sweep_stats = {
+    let sweep_hit_rate = {
         let session = SweepSession::new(&candidates).expect("session");
         for _ in 0..SWEEP_PASSES {
             session.sweep(&workload).expect("sweep");
         }
-        session.cache_stats()
+        session.cache_stats().batch_hit_rate()
     };
     subset3d_exec::set_thread_count(1);
     let base = timer(
@@ -578,20 +546,10 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
         draws * candidates.len() * SWEEP_PASSES,
         base,
         opt,
-        sweep_stats,
+        sweep_hit_rate,
     );
 
     // -- subsetting pipeline -------------------------------------------
-    // Same shared simulator: this scenario's stats show pipeline cache
-    // behaviour over a warm cache, not a re-run of workload_sim's cold
-    // transcript.
-    let pipeline_stats = {
-        let before = stats_sim.cache_stats();
-        Subsetter::new(SubsetConfig::default())
-            .run(&workload, &stats_sim)
-            .expect("pipeline");
-        stats_sim.cache_stats().delta(&before)
-    };
     subset3d_exec::set_thread_count(1);
     let base = timer(
         &mut || {
@@ -613,7 +571,7 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
         },
         RUNS,
     );
-    let subsetting_pipeline = scenario(draws, base, opt, pipeline_stats);
+    let subsetting_pipeline = scenario(draws, base, opt, None);
 
     // -- observability overhead ----------------------------------------
     // Same shape as workload_sim's optimized arm; each rep interleaves
@@ -773,11 +731,7 @@ mod tests {
             single_thread_uncached: m.clone(),
             parallel_memoized: m,
             speedup: 1.0,
-            cache_hit_rate: Some(0.5),
             batch_cache_hit_rate: Some(0.25),
-            bypassed: 0,
-            auto_disables: 0,
-            reprobes: 0,
         };
         Report {
             threads: 4,
@@ -850,34 +804,43 @@ mod tests {
 
     #[test]
     fn pre_columnar_scenarios_still_deserialize() {
-        // Old reports recorded a frame-grain cache as a bare number and
-        // had no adaptive counters; the alias + defaults must absorb
-        // that, and a plain `0.75` must land as `Some(0.75)`.
-        let json = r#"{
+        // Old reports recorded a frame-grain cache as a bare number
+        // (pre-columnar), or carried the retired draw-grain cache keys
+        // (`cache_hit_rate`, `bypassed`, `auto_disables`, `reprobes`);
+        // the alias must absorb the first, the loader must ignore the
+        // second, and a plain `0.25` must land as `Some(0.25)`.
+        let pre_columnar = r#"{
             "single_thread_uncached": {"wall_ms": 1.0, "draws_per_sec": 1e6},
             "parallel_memoized": {"wall_ms": 0.5, "draws_per_sec": 2e6},
             "speedup": 2.0,
             "cache_hit_rate": 0.75,
             "frame_cache_hit_rate": 0.25
         }"#;
-        let s: Scenario = serde_json::from_str(json).unwrap();
-        assert_eq!(s.cache_hit_rate, Some(0.75));
-        assert_eq!(s.batch_cache_hit_rate, Some(0.25));
-        assert_eq!(s.bypassed, 0);
-        assert_eq!(s.auto_disables, 0);
-        assert_eq!(s.reprobes, 0);
+        let draw_grain = r#"{
+            "single_thread_uncached": {"wall_ms": 1.0, "draws_per_sec": 1e6},
+            "parallel_memoized": {"wall_ms": 0.5, "draws_per_sec": 2e6},
+            "speedup": 2.0,
+            "cache_hit_rate": null,
+            "batch_cache_hit_rate": 0.25,
+            "bypassed": 288660,
+            "auto_disables": 3,
+            "reprobes": 2
+        }"#;
+        for json in [pre_columnar, draw_grain] {
+            let s: Scenario = serde_json::from_str(json).unwrap();
+            assert_eq!(s.speedup, 2.0);
+            assert_eq!(s.batch_cache_hit_rate, Some(0.25));
+        }
     }
 
     #[test]
     fn unengaged_caches_serialize_as_null() {
         let mut s = sample_report().workload_sim;
-        s.cache_hit_rate = None;
         s.batch_cache_hit_rate = None;
         let json = serde_json::to_string(&s).unwrap();
-        assert!(json.contains("\"cache_hit_rate\":null"));
         assert!(json.contains("\"batch_cache_hit_rate\":null"));
         let back: Scenario = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.cache_hit_rate, None);
+        assert_eq!(back.batch_cache_hit_rate, None);
     }
 
     #[test]
@@ -900,43 +863,6 @@ mod tests {
         assert_eq!(back.metrics_overhead_raw_pct, 0.0);
         assert_eq!(back.trace_overhead_raw_pct, 0.0);
         assert!(back.bakeoff.is_empty());
-    }
-
-    #[test]
-    fn back_to_back_scenario_stats_are_never_identical_when_nonzero() {
-        // Satellite of the shared-stats-simulator fix: two consecutive
-        // scenario stats passes over the same workload must publish
-        // *different* deltas (cold pass vs warm pipeline), never an
-        // identical transcript.
-        let workload = GameProfile::shooter("stats-regression")
-            .frames(6)
-            .draws_per_frame(60)
-            .build(5)
-            .generate();
-        let sim = Simulator::new(ArchConfig::baseline());
-
-        let before = sim.cache_stats();
-        sim.simulate_workload(&workload).expect("simulate");
-        let first = sim.cache_stats().delta(&before);
-
-        let before = sim.cache_stats();
-        Subsetter::new(SubsetConfig::default())
-            .run(&workload, &sim)
-            .expect("pipeline");
-        let second = sim.cache_stats().delta(&before);
-
-        assert!(
-            first.hits + first.misses + first.bypassed > 0,
-            "first scenario saw no cache traffic"
-        );
-        assert!(
-            second.hits + second.misses + second.bypassed > 0,
-            "second scenario saw no cache traffic"
-        );
-        assert_ne!(
-            first, second,
-            "back-to-back scenarios published identical nonzero cache stats"
-        );
     }
 
     #[test]

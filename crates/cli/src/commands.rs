@@ -1221,8 +1221,8 @@ mod tests {
         assert!(head.contains("clustering efficiency"), "normal output kept");
         assert!(snapshot.enabled);
         assert!(
-            snapshot.counter("gpusim.draw_cache.misses").unwrap_or(0) > 0,
-            "an instrumented run must observe cache traffic: {snapshot:?}"
+            snapshot.counter("cluster.threshold.fits").unwrap_or(0) > 0,
+            "an instrumented run must observe clustering: {snapshot:?}"
         );
         assert!(
             snapshot.histograms.contains_key("pipeline.total_ns"),
@@ -1258,7 +1258,7 @@ mod tests {
         );
 
         let table = run(&["stats", &trace]).unwrap();
-        assert!(table.contains("gpusim.draw_cache.hits"));
+        assert!(table.contains("gpusim.batch_cache.hits"));
         assert!(table.contains("pipeline.total_ns"));
         assert!(table.contains("metric shards:"));
         std::fs::remove_file(&trace).ok();

@@ -174,14 +174,15 @@ pub fn cluster_frame(frame: &Frame, workload: &Workload, config: &SubsetConfig) 
     if config.cost_weighting {
         matrix.apply_cost_weights();
     }
+    let rows = matrix.to_rows();
     let points = match config.pca_components {
-        Some(k) => match subset3d_features::Pca::fit(&matrix, k) {
+        Some(k) => match subset3d_stats::Pca::fit(&rows, k) {
             // Cluster in the projected space.
-            Ok(pca) => matrix.iter_rows().map(|r| pca.project(r)).collect(),
+            Ok(pca) => rows.iter().map(|r| pca.project(r)).collect(),
             // Degenerate frames (a single draw) fall back to raw features.
-            Err(_) => matrix.to_rows(),
+            Err(_) => rows,
         },
-        None => matrix.to_rows(),
+        None => rows,
     };
 
     let fit = subsetter_for(&config.method, config.seed).fit(&points);

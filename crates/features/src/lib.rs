@@ -5,7 +5,8 @@
 //! that one characterisation run transfers across every candidate
 //! architecture. This crate extracts those features from
 //! [`subset3d_trace::DrawCall`]s, normalises them, and provides the distance
-//! machinery and PCA used by the clustering studies.
+//! machinery used by the clustering studies (PCA lives in
+//! `subset3d_stats`, over [`FeatureMatrix::to_rows`]).
 //!
 //! # Examples
 //!
@@ -26,7 +27,6 @@ mod extract;
 mod kind;
 mod matrix;
 mod normalize;
-mod pca;
 mod select;
 mod vector;
 
@@ -35,6 +35,5 @@ pub use extract::{extract_draw_features, extract_frame_features};
 pub use kind::{FeatureGroup, FeatureKind};
 pub use matrix::FeatureMatrix;
 pub use normalize::Normalization;
-pub use pca::{Pca, PcaError};
 pub use select::drop_group;
 pub use vector::FeatureVector;

@@ -58,7 +58,7 @@ pub use config::{ArchConfig, ArchConfigBuilder};
 pub use cost::{DrawCost, FrameCost, Stage, WorkloadCost};
 pub use error::SimError;
 pub use freq::FrequencySweep;
-pub use memo::{clear_adapt_hints, CacheMode, CacheStats};
+pub use memo::{CacheMode, CacheStats};
 pub use power::{energy_delay_product, Energy, PowerModel};
 pub use sim::{Simulator, DEFAULT_BATCH_WIDTH};
 pub use sweep::{sweep_configs, sweep_frequencies, ConfigPoint, SweepPoint, SweepSession};

@@ -49,7 +49,7 @@
 //! ```
 //!
 //! Names are dot-separated, coarsest scope first: `exec.steal.empty`,
-//! `gpusim.draw_cache.hits`, `pipeline.clustering_ns`. Histogram names
+//! `gpusim.batch_cache.hits`, `pipeline.clustering_ns`. Histogram names
 //! end in `_ns` — every histogram records nanoseconds.
 
 pub mod chrome;

@@ -21,6 +21,11 @@ const SESSION_INGEST_FAMILY: &str = "serve.session.ingest_ns";
 /// Per-session reservoir occupancy after the latest ingest.
 const SESSION_OCCUPANCY_FAMILY: &str = "serve.session.reservoir_occupancy";
 
+/// Source of every session id in the process. The per-session telemetry
+/// cells (`session="session-N"`) are process-global, so ids must be
+/// unique across every live [`SessionManager`], not just within one.
+static NEXT_SESSION_ID: AtomicU64 = AtomicU64::new(1);
+
 /// Opaque handle to an open session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(u64);
@@ -100,7 +105,6 @@ struct SessionEntry {
 /// whose workers pre-claim [`subset3d_obs::shard`] thread slots.
 pub struct SessionManager {
     shards: Vec<Mutex<HashMap<u64, Arc<SessionEntry>>>>,
-    next_id: AtomicU64,
     /// Zero point of every entry's `last_touched` age stamp.
     epoch: Instant,
 }
@@ -118,7 +122,6 @@ impl SessionManager {
         let shards = subset3d_obs::shard_capacity().max(1);
         SessionManager {
             shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            next_id: AtomicU64::new(1),
             epoch: Instant::now(),
         }
     }
@@ -160,7 +163,7 @@ impl SessionManager {
     /// configurations.
     pub fn open(&self, config: ServeConfig, tables: &Workload) -> Result<SessionId, ServeError> {
         let session = Session::new(config, tables)?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let id = NEXT_SESSION_ID.fetch_add(1, Ordering::Relaxed);
         let entry = SessionEntry {
             session: Mutex::new(session),
             obs: SessionObs::claim(id),

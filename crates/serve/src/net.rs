@@ -1223,22 +1223,39 @@ mod tests {
         let w = workload(2);
         let server = spawn_server(NetServerConfig::default());
 
-        // An OPEN whose payload is noise: protocol error, connection
-        // dropped, nothing registered.
-        {
+        // A well-formed frameless workload whose frame count claims
+        // `u32::MAX` frames: decoding it must not reserve room for them.
+        let mut hostile = encode_workload(&Workload::new(
+            w.name.clone(),
+            Vec::new(),
+            w.shaders().clone(),
+            w.textures().clone(),
+            w.states().clone(),
+        ))
+        .to_vec();
+        let count_at = hostile.len() - 4;
+        hostile[count_at..].copy_from_slice(&u32::MAX.to_be_bytes());
+
+        // OPENs whose payload is noise, or a hostile count: protocol
+        // error, connection dropped, nothing registered.
+        let payloads = [
+            vec![0xde, 0xad, 0xbe, 0xef, 0x00, 0x01, 0x02, 0x03],
+            hostile,
+        ];
+        for payload in &payloads {
             let mut raw = raw_connect(server.addr());
             hello(&mut raw);
-            let mut msg = 9u32.to_le_bytes().to_vec();
+            let mut msg = (payload.len() as u32 + 1).to_le_bytes().to_vec();
             msg.push(MSG_OPEN);
-            msg.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef, 0x00, 0x01, 0x02, 0x03]);
+            msg.extend_from_slice(payload);
             raw.write_all(&msg).expect("write");
             let reply = read_message(&mut raw, DEFAULT_MAX_MESSAGE_BYTES, None)
                 .expect("reply")
                 .expect("reply");
             assert_eq!(reply.0, MSG_ERROR);
             assert_eq!(reply.1[0], CODE_PROTOCOL);
+            assert_eq!(server.manager().session_count(), 0);
         }
-        assert_eq!(server.manager().session_count(), 0);
 
         // An INGEST against a session that was never opened: typed
         // rejection, conversation continues.
@@ -1249,7 +1266,7 @@ mod tests {
         client.ingest(session, w.frames()).unwrap();
         client.close(session).unwrap();
         let stats = server.stop();
-        assert_eq!(stats.protocol_errors, 1);
+        assert_eq!(stats.protocol_errors, payloads.len() as u64);
     }
 
     #[test]

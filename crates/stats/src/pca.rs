@@ -2,8 +2,10 @@
 //!
 //! Operates on plain `&[Vec<f64>]` row data so that any crate in the
 //! workspace can project points without depending on the feature-matrix
-//! types; the clustering backends use it to decorrelate feature vectors
-//! before agglomerative merging.
+//! types. The workspace's one PCA: the clustering backends use it to
+//! decorrelate feature vectors before agglomerative merging, and the
+//! pipeline's optional projection step (the E13 dimensionality study)
+//! fits it on a frame's feature rows.
 
 use std::fmt;
 

@@ -73,7 +73,7 @@ pub fn check_frequency_monotone(
 }
 
 /// **Cache transparency**: the memo cache is an optimisation, not a model
-/// input — `Auto`, `On` and `Off` must produce bit-identical workload
+/// input — `On` and `Off` must produce bit-identical workload
 /// costs, including on a second pass served from warm caches.
 ///
 /// # Errors
@@ -87,7 +87,7 @@ pub fn check_cache_modes_identical(workload: &Workload, config: &ArchConfig) -> 
         sim.simulate_workload(workload)
             .map_err(|e| format!("baseline simulation failed: {e}"))?
     };
-    for mode in [CacheMode::Auto, CacheMode::On, CacheMode::Off] {
+    for mode in [CacheMode::On, CacheMode::Off] {
         let sim = Simulator::new(config.clone());
         sim.set_cache_mode(mode);
         for pass in 0..2 {

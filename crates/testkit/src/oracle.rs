@@ -367,7 +367,7 @@ pub fn run_oracle_all_modes_with_config(
     let threads = subset3d_exec::thread_count();
     let mut divergences = Vec::new();
     let mut draws_compared = 0;
-    for mode in [CacheMode::Auto, CacheMode::On, CacheMode::Off] {
+    for mode in [CacheMode::On, CacheMode::Off] {
         let sim = Simulator::new(config.clone());
         sim.set_cache_mode(mode);
         for pass in 0..2 {
@@ -402,7 +402,7 @@ pub fn run_oracle_batch_widths(
     let mut divergences = Vec::new();
     let mut draws_compared = 0;
     for &width in widths {
-        for mode in [CacheMode::Auto, CacheMode::On, CacheMode::Off] {
+        for mode in [CacheMode::On, CacheMode::Off] {
             let sim = Simulator::new(config.clone());
             sim.set_cache_mode(mode);
             sim.set_batch_width(width);

@@ -26,8 +26,8 @@ fn batch_width_matrix_is_clean() {
     );
     let config = ArchConfig::baseline();
     let widths = [1, DEFAULT_BATCH_WIDTH, 128];
-    // 3 widths × 3 cache modes × 2 passes per thread count.
-    let expected_per_thread = workload.total_draws() * widths.len() * 3 * 2;
+    // 3 widths × 2 cache modes × 2 passes per thread count.
+    let expected_per_thread = workload.total_draws() * widths.len() * 2 * 2;
     for threads in [1, 2, 8] {
         subset3d_exec::with_thread_count(threads, || {
             let report = run_oracle_batch_widths(name, workload, &config, &widths)

@@ -1,7 +1,10 @@
 //! End-to-end golden-snapshot gate: the full pipeline (clustering →
 //! evaluation → phases → subset → scaling validation) on the frozen
 //! golden corpus, serialised and compared byte-for-byte against
-//! `tests/golden/pipeline_<profile>.json`.
+//! `tests/golden/pipeline_<profile>.json`. One more input runs the
+//! shooter profile with PCA projection on (`pca_components: Some(4)`),
+//! pinned as `pipeline_shooter_pca4.json`, so the projection path is
+//! held to the same byte-for-byte standard as the default pipeline.
 //!
 //! Regenerate after an intentional behaviour change:
 //! `UPDATE_GOLDEN=1 cargo test -p subset3d-testkit --test golden_snapshots`
@@ -15,10 +18,35 @@ use subset3d_trace::Workload;
 /// Clocks swept by the golden scaling validation; frozen like the corpus.
 const GOLDEN_SWEEP_MHZ: [f64; 3] = [500.0, 800.0, 1100.0];
 
-fn snapshot_json(workload: &Workload) -> String {
+/// PCA components of the projected-pipeline golden input.
+const GOLDEN_PCA_COMPONENTS: usize = 4;
+
+/// Every golden input: `(golden name, workload, pipeline config)` — the
+/// corpus under the default config, plus the shooter profile projected
+/// onto [`GOLDEN_PCA_COMPONENTS`] principal components.
+fn golden_inputs() -> Vec<(String, Workload, SubsetConfig)> {
+    let mut inputs = Vec::new();
+    for (name, workload) in golden_corpus() {
+        if name == "shooter" {
+            inputs.push((
+                format!("pipeline_{name}_pca{GOLDEN_PCA_COMPONENTS}"),
+                workload.clone(),
+                SubsetConfig::default().with_pca(Some(GOLDEN_PCA_COMPONENTS)),
+            ));
+        }
+        inputs.push((
+            format!("pipeline_{name}"),
+            workload,
+            SubsetConfig::default(),
+        ));
+    }
+    inputs
+}
+
+fn snapshot_json(workload: &Workload, subset_config: &SubsetConfig) -> String {
     let config = ArchConfig::baseline();
     let sim = Simulator::new(config.clone());
-    let outcome = Subsetter::new(SubsetConfig::default())
+    let outcome = Subsetter::new(subset_config.clone())
         .run(workload, &sim)
         .expect("pipeline run");
     let scaling = frequency_scaling_validation(
@@ -37,9 +65,9 @@ fn snapshot_json(workload: &Workload) -> String {
 #[test]
 fn pipeline_snapshots_match_golden() {
     let mut updated = 0;
-    for (name, workload) in golden_corpus() {
-        let json = snapshot_json(&workload);
-        match check_golden(&format!("pipeline_{name}"), &json) {
+    for (name, workload, config) in golden_inputs() {
+        let json = snapshot_json(&workload, &config);
+        match check_golden(&name, &json) {
             Ok(GoldenOutcome::Match) => {}
             Ok(GoldenOutcome::Updated) => updated += 1,
             Err(e) => panic!("{e}"),
@@ -56,7 +84,8 @@ fn pipeline_snapshots_match_golden() {
 #[test]
 fn snapshot_json_is_bit_identical_across_runs() {
     let (_, workload) = golden_corpus().remove(0);
-    let a = snapshot_json(&workload);
-    let b = snapshot_json(&workload);
+    let config = SubsetConfig::default();
+    let a = snapshot_json(&workload, &config);
+    let b = snapshot_json(&workload, &config);
     assert_eq!(a, b, "snapshot serialisation must be deterministic");
 }

@@ -1,13 +1,13 @@
 //! Proves the differential oracle has teeth: with the test-only
-//! `fault-injection` hook armed, a memo-cache hit returns its stored cost
-//! with `time_ns` flipped by one ulp — the smallest possible corruption —
-//! and the oracle must still name it.
+//! `fault-injection` hook armed, a batch-cache hit returns its stored
+//! costs with `time_ns` flipped by one ulp — the smallest possible
+//! corruption — and the oracle must still name it.
 //!
 //! Gated behind `required-features = ["fault-injection"]`: plain
 //! `cargo test` never compiles the hook. Run via
 //! `cargo test -p subset3d-testkit --features fault-injection`.
 
-use subset3d_gpusim::{fault, ArchConfig, Simulator};
+use subset3d_gpusim::{fault, ArchConfig, CacheMode, Simulator};
 use subset3d_testkit::corpus::golden_corpus;
 use subset3d_testkit::oracle::run_oracle;
 
@@ -26,17 +26,19 @@ fn one_ulp_memo_corruption_is_caught() {
     let _guard = Disarm;
     let (_, workload) = golden_corpus().remove(0);
     let sim = Simulator::new(ArchConfig::baseline());
+    sim.set_cache_mode(CacheMode::On);
 
-    // Pass 1, disarmed: populates the memo cache; oracle must be clean.
-    run_oracle("mutation/populate", &workload, &sim)
-        .unwrap()
-        .assert_clean();
+    // Passes 1 and 2, disarmed: the first populates the batch cache, the
+    // second is served from it; the oracle must be clean on both.
+    for label in ["mutation/populate", "mutation/warm"] {
+        run_oracle(label, &workload, &sim).unwrap().assert_clean();
+    }
     assert!(
-        sim.cache_stats().hits > 0,
-        "corpus must exercise the memo cache or this test is vacuous"
+        sim.cache_stats().batch_hits > 0,
+        "corpus must exercise the batch cache or this test is vacuous"
     );
 
-    // Pass 2, armed: every draw served from the cache carries a one-ulp
+    // Pass 3, armed: every draw served from the cache carries a one-ulp
     // flip in time_ns. The bitwise oracle must report it.
     fault::arm();
     let report = run_oracle("mutation/armed", &workload, &sim).unwrap();

@@ -87,14 +87,7 @@ pub fn encode_workload(w: &Workload) -> Bytes {
         buf.put_u8(depth_tag(s.depth));
         buf.put_u8(cull_tag(s.cull));
     }
-    buf.put_u32(w.frames().len() as u32);
-    for frame in w.frames() {
-        buf.put_u32(frame.id.raw());
-        buf.put_u32(frame.draw_count() as u32);
-        for d in frame.to_draws() {
-            put_draw(&mut buf, &d);
-        }
-    }
+    put_frames(&mut buf, w.frames());
     buf.freeze()
 }
 
@@ -103,7 +96,8 @@ pub fn encode_workload(w: &Workload) -> Bytes {
 /// # Errors
 ///
 /// Returns an [`EncodeError`] when the buffer is not a valid trace of a
-/// supported version.
+/// supported version — including [`EncodeError::Truncated`] when a
+/// declared count claims more content than the buffer holds.
 pub fn decode_workload(mut buf: &[u8]) -> Result<Workload, EncodeError> {
     if buf.remaining() < 6 {
         return Err(EncodeError::Truncated);
@@ -139,17 +133,7 @@ pub fn decode_workload(mut buf: &[u8]) -> Result<Workload, EncodeError> {
         let cull = cull_from(buf.get_u8())?;
         states.intern(vs, ps, blend, depth, cull);
     }
-    let n_frames = get_u32(&mut buf)? as usize;
-    let mut frames = Vec::with_capacity(n_frames);
-    for _ in 0..n_frames {
-        let id = FrameId(get_u32(&mut buf)?);
-        let n_draws = get_u32(&mut buf)? as usize;
-        let mut draws = Vec::with_capacity(n_draws);
-        for _ in 0..n_draws {
-            draws.push(get_draw(&mut buf)?);
-        }
-        frames.push(Frame::new(id, draws));
-    }
+    let frames = get_frames(&mut buf)?;
     Ok(Workload::new(name, frames, shaders, textures, states))
 }
 
@@ -177,14 +161,7 @@ pub fn encode_frames(frames: &[Frame]) -> Bytes {
     let mut buf = BytesMut::with_capacity(16 + draws * 96);
     buf.put_u32(MAGIC);
     buf.put_u16(VERSION);
-    buf.put_u32(frames.len() as u32);
-    for frame in frames {
-        buf.put_u32(frame.id.raw());
-        buf.put_u32(frame.draw_count() as u32);
-        for d in frame.to_draws() {
-            put_draw(&mut buf, &d);
-        }
-    }
+    put_frames(&mut buf, frames);
     buf.freeze()
 }
 
@@ -208,14 +185,36 @@ pub fn decode_frames(mut buf: &[u8]) -> Result<Vec<Frame>, EncodeError> {
     if version != VERSION {
         return Err(EncodeError::UnsupportedVersion(version));
     }
-    let n_frames = get_u32(&mut buf)? as usize;
+    get_frames(&mut buf)
+}
+
+/// Writes the frames section shared by [`encode_workload`] and
+/// [`encode_frames`]: a `u32` frame count, then per frame its id, its
+/// draw count and its draws.
+fn put_frames(buf: &mut BytesMut, frames: &[Frame]) {
+    buf.put_u32(frames.len() as u32);
+    for frame in frames {
+        buf.put_u32(frame.id.raw());
+        buf.put_u32(frame.draw_count() as u32);
+        for d in frame.to_draws() {
+            put_draw(buf, &d);
+        }
+    }
+}
+
+/// Reads a frames section written by [`put_frames`]. Its frame and draw
+/// counts are untrusted, so nothing is reserved from them: vectors grow
+/// only with content actually decoded, and a count that claims more
+/// content than the buffer holds ends in [`EncodeError::Truncated`].
+fn get_frames(buf: &mut &[u8]) -> Result<Vec<Frame>, EncodeError> {
+    let n_frames = get_u32(buf)?;
     let mut frames = Vec::new();
     for _ in 0..n_frames {
-        let id = FrameId(get_u32(&mut buf)?);
-        let n_draws = get_u32(&mut buf)? as usize;
+        let id = FrameId(get_u32(buf)?);
+        let n_draws = get_u32(buf)?;
         let mut draws = Vec::new();
         for _ in 0..n_draws {
-            draws.push(get_draw(&mut buf)?);
+            draws.push(get_draw(buf)?);
         }
         frames.push(Frame::new(id, draws));
     }
@@ -586,6 +585,38 @@ mod tests {
             decode_frames(&hostile),
             Err(EncodeError::Truncated) | Err(EncodeError::BadTag { .. })
         ));
+    }
+
+    #[test]
+    fn hostile_counts_in_a_short_buffer_are_truncated() {
+        // A frameless workload (the OPEN payload shape) whose frame count
+        // claims `u32::MAX` frames, then one real frame whose draw count
+        // claims `u32::MAX` draws: both must end in a typed truncation,
+        // never an allocation sized by the claim. (Standalone chunks
+        // share the frames decoder; `frame_chunk_rejects_corruption`
+        // covers their hostile frame count.)
+        let w = sample();
+        let tables = Workload::new(
+            w.name.clone(),
+            Vec::new(),
+            w.shaders().clone(),
+            w.textures().clone(),
+            w.states().clone(),
+        );
+        let frameless = encode_workload(&tables).to_vec();
+        let count_at = frameless.len() - 4;
+        let mut hostile_frames = frameless.clone();
+        hostile_frames[count_at..].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(
+            decode_workload(&hostile_frames),
+            Err(EncodeError::Truncated)
+        );
+
+        let mut hostile_draws = frameless;
+        hostile_draws[count_at..].copy_from_slice(&1u32.to_be_bytes());
+        hostile_draws.extend_from_slice(&7u32.to_be_bytes()); // frame id
+        hostile_draws.extend_from_slice(&u32::MAX.to_be_bytes()); // draw count
+        assert_eq!(decode_workload(&hostile_draws), Err(EncodeError::Truncated));
     }
 
     #[test]

@@ -12,9 +12,11 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 
 cargo build --release
-cargo test -q
+# --workspace: a bare `cargo test` at the root tests only the root
+# package, not the member crates.
+cargo test -q --workspace
 
-# Correctness harness: the fault-injection feature compiles the memo-cache
+# Correctness harness: the fault-injection feature compiles the batch-cache
 # mutation hook so mutation_caught can prove the oracle detects a seeded
 # one-ulp corruption; the oracle matrix and golden-snapshot gates run in
 # the same pass.
@@ -114,12 +116,12 @@ cargo run -p subset3d-bench --bin bench_diff --release -- \
 # iterated sweep is the scenario whose speedup the memo design owns
 # (warm passes served wholesale from the batch caches; ~2x even on one
 # core), so it carries an absolute floor that fails the build even under
-# --check. The cold workload_sim pass carries the same 1.0 floor:
-# since the adaptive policy stopped computing batch digests while the
-# draw cache is disabled (a single-pass stream's steady state), the
-# parallel+memoized path must at least match single-thread-uncached
-# rather than paying probe overhead for nothing. The remaining cold
-# scenario (subsetting_pipeline) stays report-only above.
+# --check. The cold workload_sim pass carries the same 1.0 floor: it
+# runs the default CacheMode::Off, which computes no digests, probes or
+# retained costs, so the out-of-the-box parallel path must at least
+# match single-thread-uncached rather than paying cache bookkeeping on a
+# pass that never revisits a batch. The remaining cold scenario
+# (subsetting_pipeline) stays report-only above.
 cargo run -p subset3d-bench --bin bench_diff --release -- \
     --check --metric iterated_sweep.speedup --min-speedup 1.0 \
     "$TRACE_TMP/committed_bench.json" BENCH_pipeline.json

@@ -21,8 +21,9 @@ fn differential_oracle_reports_zero_divergence() {
         report.assert_clean();
         draws_compared += report.draws_compared;
     }
+    // 3 profiles × ≥1000 draws × 2 cache modes × 2 passes.
     assert!(
-        draws_compared >= 3 * 1000 * 3 * 2,
+        draws_compared >= 3 * 1000 * 2 * 2,
         "corpus shrank below the intended coverage: {draws_compared} draw comparisons"
     );
 }
