@@ -28,6 +28,7 @@
 
 use crate::clustering::Clustering;
 use crate::medoid::medoid_of;
+use crate::points::Points;
 use crate::subsetter::{Subsetter, SubsetterFit};
 
 /// A subsetter fit that absorbs points one chunk at a time.
@@ -36,8 +37,9 @@ use crate::subsetter::{Subsetter, SubsetterFit};
 /// sequence — chunk boundaries must not influence any retained state — and
 /// [`IncrementalFit::fit`] may be called at any time between chunks.
 pub trait IncrementalFit: Send {
-    /// Absorbs a chunk of points, in stream order.
-    fn ingest(&mut self, points: &[Vec<f64>]);
+    /// Absorbs a chunk of points, in stream order. Every chunk of one
+    /// stream has the same dimensionality.
+    fn ingest(&mut self, points: Points<'_>);
 
     /// Fits the current state into a partition + representatives over the
     /// *retained* points (see [`IncrementalFit::retained`]). Point indices
@@ -48,7 +50,7 @@ pub trait IncrementalFit: Send {
     fn points_seen(&self) -> usize;
 
     /// The retained sample the fit partitions, in slot order.
-    fn retained(&self) -> &[Vec<f64>];
+    fn retained(&self) -> Points<'_>;
 
     /// Global stream index of each retained point, parallel to
     /// [`IncrementalFit::retained`].
@@ -91,13 +93,17 @@ fn reservoir_slot(seed: u64, index: usize, capacity: usize) -> Option<usize> {
 /// While `points_seen ≤ capacity` the retained sample *is* the stream, so
 /// [`IncrementalFit::fit`] is bit-identical to `backend.fit(all points)`
 /// (the batch fit canonicalises order, so slot order is irrelevant). Past
-/// capacity the backend fits a uniform sample of the stream.
+/// capacity the backend fits a uniform sample of the stream. The reservoir
+/// is one row-major buffer, so a fit reads it without copying rows out.
 #[derive(Debug, Clone)]
 pub struct ReservoirIncremental<S: Subsetter> {
     backend: S,
     seed: u64,
     capacity: usize,
-    points: Vec<Vec<f64>>,
+    /// Retained rows, row-major, in slot order.
+    points: Vec<f64>,
+    /// Coordinates per row, fixed by the first point of the stream.
+    dim: usize,
     stream_indices: Vec<usize>,
     seen: usize,
 }
@@ -112,6 +118,7 @@ impl<S: Subsetter> ReservoirIncremental<S> {
             seed,
             capacity,
             points: Vec::new(),
+            dim: 0,
             stream_indices: Vec::new(),
             seen: 0,
         }
@@ -119,17 +126,25 @@ impl<S: Subsetter> ReservoirIncremental<S> {
 }
 
 impl<S: Subsetter + Send> IncrementalFit for ReservoirIncremental<S> {
-    fn ingest(&mut self, points: &[Vec<f64>]) {
-        for point in points {
+    fn ingest(&mut self, points: Points<'_>) {
+        if points.is_empty() {
+            return;
+        }
+        if self.seen == 0 {
+            self.dim = points.dim();
+        }
+        assert_eq!(points.dim(), self.dim, "stream dimensionality changed");
+        let dim = self.dim;
+        for point in points.rows() {
             let index = self.seen;
             self.seen += 1;
             match reservoir_slot(self.seed, index, self.capacity) {
-                Some(slot) if slot == self.points.len() => {
-                    self.points.push(point.clone());
+                Some(slot) if slot == self.stream_indices.len() => {
+                    self.points.extend_from_slice(point);
                     self.stream_indices.push(index);
                 }
                 Some(slot) => {
-                    self.points[slot] = point.clone();
+                    self.points[slot * dim..(slot + 1) * dim].copy_from_slice(point);
                     self.stream_indices[slot] = index;
                 }
                 None => {}
@@ -138,15 +153,15 @@ impl<S: Subsetter + Send> IncrementalFit for ReservoirIncremental<S> {
     }
 
     fn fit(&self) -> SubsetterFit {
-        self.backend.fit(&self.points)
+        self.backend.fit(self.retained())
     }
 
     fn points_seen(&self) -> usize {
         self.seen
     }
 
-    fn retained(&self) -> &[Vec<f64>] {
-        &self.points
+    fn retained(&self) -> Points<'_> {
+        Points::new(&self.points, self.dim)
     }
 
     fn retained_stream_indices(&self) -> &[usize] {
@@ -206,14 +221,14 @@ impl<S: Subsetter + Clone> OnlineKMeans<S> {
 }
 
 impl<S: Subsetter + Clone + Send> IncrementalFit for OnlineKMeans<S> {
-    fn ingest(&mut self, points: &[Vec<f64>]) {
-        for point in points {
-            self.reservoir.ingest(std::slice::from_ref(point));
+    fn ingest(&mut self, points: Points<'_>) {
+        for point in points.rows() {
+            self.reservoir.ingest(Points::new(point, points.dim()));
             match self.nearest_centroid(point) {
                 // Spawn until k centroids exist; re-seeing an exact centroid
                 // value updates it instead (keeps duplicates from eating k).
                 Some((_, d)) if d > 0.0 && self.centroids.len() < self.k => {
-                    self.centroids.push(point.clone());
+                    self.centroids.push(point.to_vec());
                     self.counts.push(1);
                 }
                 Some((j, _)) => {
@@ -224,7 +239,7 @@ impl<S: Subsetter + Clone + Send> IncrementalFit for OnlineKMeans<S> {
                     }
                 }
                 None => {
-                    self.centroids.push(point.clone());
+                    self.centroids.push(point.to_vec());
                     self.counts.push(1);
                 }
             }
@@ -243,7 +258,7 @@ impl<S: Subsetter + Clone + Send> IncrementalFit for OnlineKMeans<S> {
         // Streaming regime: assign each retained point to its nearest
         // online centroid, drop empty clusters, elect medoids.
         let assignments: Vec<usize> = retained
-            .iter()
+            .rows()
             .map(|p| {
                 self.centroids
                     .iter()
@@ -274,7 +289,7 @@ impl<S: Subsetter + Clone + Send> IncrementalFit for OnlineKMeans<S> {
         self.reservoir.points_seen()
     }
 
-    fn retained(&self) -> &[Vec<f64>] {
+    fn retained(&self) -> Points<'_> {
         self.reservoir.retained()
     }
 
@@ -292,13 +307,19 @@ mod tests {
     use super::*;
     use crate::subsetter::{KMeansSubsetter, ThresholdSubsetter};
 
-    fn stream(n: usize) -> Vec<Vec<f64>> {
+    const DIM: usize = 2;
+
+    fn stream(n: usize) -> Vec<f64> {
         (0..n)
-            .map(|i| {
+            .flat_map(|i| {
                 let t = i as f64;
-                vec![(t * 0.61).sin() * 4.0, (t * 1.7).cos() * 3.0]
+                [(t * 0.61).sin() * 4.0, (t * 1.7).cos() * 3.0]
             })
             .collect()
+    }
+
+    fn view(data: &[f64]) -> Points<'_> {
+        Points::new(data, DIM)
     }
 
     #[test]
@@ -306,9 +327,9 @@ mod tests {
         let points = stream(24);
         let backend = ThresholdSubsetter::new(1.0);
         let mut inc = ReservoirIncremental::new(backend, 64, 9);
-        inc.ingest(&points);
-        assert_eq!(inc.fit(), backend.fit(&points));
-        assert_eq!(inc.retained(), &points[..]);
+        inc.ingest(view(&points));
+        assert_eq!(inc.fit(), backend.fit(view(&points)));
+        assert_eq!(inc.retained(), view(&points));
         assert_eq!(
             inc.retained_stream_indices(),
             (0..24).collect::<Vec<_>>().as_slice()
@@ -319,14 +340,16 @@ mod tests {
     fn reservoir_occupancy_is_bounded() {
         let points = stream(500);
         let mut inc = ReservoirIncremental::new(ThresholdSubsetter::new(1.0), 16, 3);
-        inc.ingest(&points);
+        inc.ingest(view(&points));
         assert_eq!(inc.retained().len(), 16);
         assert_eq!(inc.points_seen(), 500);
-        // Retained indices are valid stream positions, each slot distinct.
+        // Retained indices are valid stream positions, each slot distinct,
+        // and each slot holds the point of its stream index.
         let mut seen = std::collections::BTreeSet::new();
-        for &i in inc.retained_stream_indices() {
+        for (slot, &i) in inc.retained_stream_indices().iter().enumerate() {
             assert!(i < 500);
             assert!(seen.insert(i));
+            assert_eq!(inc.retained().row(slot), view(&points).row(i));
         }
     }
 
@@ -334,10 +357,10 @@ mod tests {
     fn reservoir_is_chunk_invariant() {
         let points = stream(200);
         let mut whole = ReservoirIncremental::new(ThresholdSubsetter::new(1.0), 32, 5);
-        whole.ingest(&points);
+        whole.ingest(view(&points));
         let mut chunked = ReservoirIncremental::new(ThresholdSubsetter::new(1.0), 32, 5);
-        for chunk in points.chunks(7) {
-            chunked.ingest(chunk);
+        for chunk in points.chunks(7 * DIM) {
+            chunked.ingest(view(chunk));
         }
         assert_eq!(whole.retained(), chunked.retained());
         assert_eq!(
@@ -352,9 +375,9 @@ mod tests {
         // Feed 0..n and check the retained stream indices are spread over
         // the whole stream, not clustered at either end.
         let n = 2000;
-        let points: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64]).collect();
+        let points: Vec<f64> = (0..n).map(f64::from).collect();
         let mut inc = ReservoirIncremental::new(ThresholdSubsetter::new(0.5), 100, 11);
-        inc.ingest(&points);
+        inc.ingest(Points::new(&points, 1));
         let mean_index: f64 = inc
             .retained_stream_indices()
             .iter()
@@ -362,9 +385,17 @@ mod tests {
             .sum::<f64>()
             / 100.0;
         assert!(
-            (mean_index - n as f64 / 2.0).abs() < n as f64 / 5.0,
+            (mean_index - f64::from(n) / 2.0).abs() < f64::from(n) / 5.0,
             "mean retained index {mean_index} far from uniform"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "dimensionality changed")]
+    fn reservoir_rejects_a_dimensionality_change() {
+        let mut inc = ReservoirIncremental::new(ThresholdSubsetter::new(1.0), 8, 0);
+        inc.ingest(view(&stream(2)));
+        inc.ingest(Points::new(&[1.0, 2.0, 3.0], 3));
     }
 
     #[test]
@@ -372,16 +403,16 @@ mod tests {
         let points = stream(30);
         let backend = KMeansSubsetter::fixed(4, 7);
         let mut inc = OnlineKMeans::new(backend, 4, 64, 7);
-        inc.ingest(&points);
-        assert_eq!(inc.fit(), backend.fit(&points));
+        inc.ingest(view(&points));
+        assert_eq!(inc.fit(), backend.fit(view(&points)));
     }
 
     #[test]
     fn online_kmeans_streams_past_capacity() {
         let points = stream(300);
         let mut inc = OnlineKMeans::new(KMeansSubsetter::fixed(4, 7), 4, 32, 7);
-        for chunk in points.chunks(13) {
-            inc.ingest(chunk);
+        for chunk in points.chunks(13 * DIM) {
+            inc.ingest(view(chunk));
         }
         let fit = inc.fit();
         fit.check(32).expect("streaming fit upholds the contract");
@@ -393,10 +424,10 @@ mod tests {
     fn online_kmeans_is_chunk_invariant() {
         let points = stream(150);
         let mut a = OnlineKMeans::new(KMeansSubsetter::fixed(3, 1), 3, 16, 1);
-        a.ingest(&points);
+        a.ingest(view(&points));
         let mut b = OnlineKMeans::new(KMeansSubsetter::fixed(3, 1), 3, 16, 1);
-        for chunk in points.chunks(4) {
-            b.ingest(chunk);
+        for chunk in points.chunks(4 * DIM) {
+            b.ingest(view(chunk));
         }
         assert_eq!(a.fit(), b.fit());
     }
@@ -413,17 +444,17 @@ mod tests {
         ];
         for backend in &backends {
             let mut inc = backend.incremental(64, 3);
-            inc.ingest(&points);
+            inc.ingest(view(&points));
             let fit = inc.fit();
-            fit.check(points.len()).expect("contract");
-            assert_eq!(fit, backend.fit(&points), "{}", backend.name());
+            fit.check(40).expect("contract");
+            assert_eq!(fit, backend.fit(view(&points)), "{}", backend.name());
         }
     }
 
     #[test]
     fn zero_capacity_clamps_to_one() {
         let mut inc = ReservoirIncremental::new(ThresholdSubsetter::new(1.0), 0, 0);
-        inc.ingest(&stream(5));
+        inc.ingest(view(&stream(5)));
         assert_eq!(inc.capacity(), 1);
         assert_eq!(inc.retained().len(), 1);
     }

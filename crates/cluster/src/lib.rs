@@ -7,7 +7,9 @@
 //! * [`ThresholdClustering`] — single-pass leader clustering. The number of
 //!   clusters *emerges* from a distance threshold, which matches how the
 //!   paper reports clustering efficiency as a measured outcome. This is the
-//!   production algorithm: O(n·k) per frame.
+//!   production algorithm: O(n·k) per frame, tested eight leaders at a
+//!   time, and on sorted input only against the leaders whose first
+//!   coordinate is within reach.
 //! * [`KMeans`] — Lloyd iterations with k-means++ seeding, plus
 //!   [`select_k_bic`] (x-means-style BIC model selection) for the
 //!   k-selection ablation.
@@ -16,6 +18,10 @@
 //!
 //! All algorithms are deterministic given their seed and produce a common
 //! [`Clustering`] result.
+//!
+//! Points cross into the crate as [`Points`]: one borrowed row-major
+//! buffer plus its dimensionality, which is how feature matrices already
+//! store them.
 //!
 //! On top of the raw algorithms sits the [`Subsetter`] trait: a pluggable
 //! backend contract (feature vectors in, partition + representatives out)
@@ -32,14 +38,14 @@
 //! # Examples
 //!
 //! ```
-//! use subset3d_cluster::ThresholdClustering;
+//! use subset3d_cluster::{Points, ThresholdClustering};
 //!
-//! let points = vec![
-//!     vec![0.0, 0.0],
-//!     vec![0.1, 0.0],
-//!     vec![5.0, 5.0],
+//! let data = [
+//!     0.0, 0.0, //
+//!     0.1, 0.0, //
+//!     5.0, 5.0,
 //! ];
-//! let clustering = ThresholdClustering::new(1.0).fit(&points);
+//! let clustering = ThresholdClustering::new(1.0).fit(Points::new(&data, 2));
 //! assert_eq!(clustering.len(), 2);
 //! assert_eq!(clustering.assignments()[0], clustering.assignments()[1]);
 //! ```
@@ -54,6 +60,7 @@ mod incremental;
 mod init;
 mod kmeans;
 mod medoid;
+mod points;
 mod silhouette;
 mod subsetter;
 mod threshold;
@@ -66,6 +73,7 @@ pub use incremental::{IncrementalFit, OnlineKMeans, ReservoirIncremental};
 pub use init::kmeans_plus_plus;
 pub use kmeans::KMeans;
 pub use medoid::medoid_of;
+pub use points::Points;
 pub use silhouette::silhouette_score;
 pub use subsetter::{
     canonical_order, KMeansSubsetter, PcaAggloSubsetter, StratifiedSubsetter, Subsetter,

@@ -19,6 +19,7 @@ use crate::hierarchical::{Hierarchical, Linkage};
 use crate::incremental::{IncrementalFit, OnlineKMeans, ReservoirIncremental};
 use crate::kmeans::KMeans;
 use crate::medoid::medoid_of;
+use crate::points::Points;
 use crate::threshold::ThresholdClustering;
 use subset3d_stats::Pca;
 
@@ -95,19 +96,19 @@ pub trait Subsetter {
     /// Implementations must be deterministic functions of the point
     /// *values*; they may rely on the ordering for order-sensitive
     /// algorithms.
-    fn fit_ordered(&self, points: &[Vec<f64>]) -> SubsetterFit;
+    fn fit_ordered(&self, points: Points<'_>) -> SubsetterFit;
 
-    /// Fits arbitrary points: canonicalises the order, delegates to
-    /// [`Subsetter::fit_ordered`], and translates the result back to the
-    /// input order. The returned partition therefore depends only on the
-    /// multiset of point values.
-    fn fit(&self, points: &[Vec<f64>]) -> SubsetterFit {
+    /// Fits arbitrary points: canonicalises the order, gathers the rows
+    /// into one sorted buffer, delegates to [`Subsetter::fit_ordered`], and
+    /// translates the result back to the input order. The returned
+    /// partition therefore depends only on the multiset of point values.
+    fn fit(&self, points: Points<'_>) -> SubsetterFit {
         if points.is_empty() {
             return SubsetterFit::empty();
         }
         let order = canonical_order(points);
-        let sorted: Vec<Vec<f64>> = order.iter().map(|&i| points[i].clone()).collect();
-        let fit = self.fit_ordered(&sorted);
+        let sorted = points.gather(&order);
+        let fit = self.fit_ordered(Points::new(&sorted, points.dim()));
         debug_assert!(fit.check(points.len()).is_ok(), "backend contract");
         let mut assignments = vec![0usize; points.len()];
         for (sorted_idx, &orig_idx) in order.iter().enumerate() {
@@ -133,25 +134,23 @@ pub trait Subsetter {
 }
 
 /// The canonical point ordering every backend fits over: indices sorted by
-/// lexicographic comparison of vector content (`f64::total_cmp`), original
-/// index as the tie-break. Equal vectors are interchangeable, so the sorted
-/// *value sequence* is a pure function of the input multiset.
-pub fn canonical_order(points: &[Vec<f64>]) -> Vec<usize> {
+/// lexicographic comparison of row content (`f64::total_cmp`), original
+/// index as the tie-break. Equal rows are interchangeable, so the sorted
+/// *value sequence* is a pure function of the input multiset. Coordinate 0
+/// is non-decreasing along it, which lets the threshold fit use its sorted
+/// window whenever that coordinate is NaN-free.
+pub fn canonical_order(points: Points<'_>) -> Vec<usize> {
     let mut order: Vec<usize> = (0..points.len()).collect();
-    order.sort_by(|&a, &b| {
-        let va = &points[a];
-        let vb = &points[b];
-        va.len()
-            .cmp(&vb.len())
-            .then_with(|| {
-                for (x, y) in va.iter().zip(vb.iter()) {
-                    let c = x.total_cmp(y);
-                    if c != std::cmp::Ordering::Equal {
-                        return c;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            })
+    // The index tie-break makes the order total, so an unstable sort
+    // yields the one sorted permutation.
+    order.sort_unstable_by(|&a, &b| {
+        points
+            .row(a)
+            .iter()
+            .zip(points.row(b))
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|c| c.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
     order
@@ -159,7 +158,7 @@ pub fn canonical_order(points: &[Vec<f64>]) -> Vec<usize> {
 
 /// Builds a fit from a partition by electing each cluster's medoid as its
 /// representative, dropping empty clusters first.
-fn fit_with_medoids(points: &[Vec<f64>], mut clustering: Clustering) -> SubsetterFit {
+fn fit_with_medoids(points: Points<'_>, mut clustering: Clustering) -> SubsetterFit {
     clustering.drop_empty();
     let representatives = clustering
         .members()
@@ -192,7 +191,7 @@ impl Subsetter for ThresholdSubsetter {
         "threshold"
     }
 
-    fn fit_ordered(&self, points: &[Vec<f64>]) -> SubsetterFit {
+    fn fit_ordered(&self, points: Points<'_>) -> SubsetterFit {
         fit_with_medoids(points, ThresholdClustering::new(self.distance).fit(points))
     }
 
@@ -238,12 +237,13 @@ impl Subsetter for KMeansSubsetter {
         "kmeans"
     }
 
-    fn fit_ordered(&self, points: &[Vec<f64>]) -> SubsetterFit {
+    fn fit_ordered(&self, points: Points<'_>) -> SubsetterFit {
+        let rows = points.to_rows();
         let clustering = match self.mode {
             KMeansMode::Bic { max_k } => {
-                select_k_bic(points, 1..=max_k.min(points.len()).max(1), self.seed)
+                select_k_bic(&rows, 1..=max_k.min(points.len()).max(1), self.seed)
             }
-            KMeansMode::Fixed { k } => KMeans::new(k.max(1)).seed(self.seed).fit(points),
+            KMeansMode::Fixed { k } => KMeans::new(k.max(1)).seed(self.seed).fit(&rows),
         };
         fit_with_medoids(points, clustering)
     }
@@ -263,8 +263,9 @@ impl Subsetter for KMeansSubsetter {
 /// Stratified Sampling*): phase one buckets points into equal-population
 /// strata on a cheap scalar key (the feature-vector component sum); phase
 /// two draws a proportional systematic sample within each stratum. The
-/// samples are the representatives; every point joins its nearest sample
-/// within its stratum.
+/// samples are the representatives. Strata only choose the samples: every
+/// point then joins its nearest sample across all strata (squared
+/// Euclidean distance, the earliest-drawn sample on ties).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StratifiedSubsetter {
     /// Number of strata on the cheap scalar key.
@@ -294,11 +295,11 @@ impl Subsetter for StratifiedSubsetter {
         "stratified"
     }
 
-    fn fit_ordered(&self, points: &[Vec<f64>]) -> SubsetterFit {
+    fn fit_ordered(&self, points: Points<'_>) -> SubsetterFit {
         let n = points.len();
         // Phase 1: stratify on the cheap scalar key. The canonical input
         // order makes the (key, index) sort a pure function of content.
-        let keys: Vec<f64> = points.iter().map(|p| p.iter().sum()).collect();
+        let keys: Vec<f64> = points.rows().map(|p| p.iter().sum()).collect();
         let mut by_key: Vec<usize> = (0..n).collect();
         by_key.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]).then(a.cmp(&b)));
         let strata = self.strata.min(n);
@@ -324,18 +325,18 @@ impl Subsetter for StratifiedSubsetter {
             }
         }
 
-        // Each point joins its nearest sample *within its stratum*; strata
-        // are disjoint key ranges, so search all samples — the nearest one
-        // by key-distance-0 tie-break is resolved by squared distance with
-        // first-sample preference, which keeps duplicate samples empty.
+        // Each point joins its nearest sample by squared distance, searched
+        // over the samples of *every* stratum, not just its own. Ties go
+        // to the earliest-drawn sample, which leaves duplicate samples
+        // empty.
         let mut assignments = vec![0usize; n];
-        for (i, point) in points.iter().enumerate() {
+        for (i, point) in points.rows().enumerate() {
             let mut best = 0usize;
             let mut best_d = f64::INFINITY;
             for (label, &sample) in samples.iter().enumerate() {
                 let d: f64 = point
                     .iter()
-                    .zip(&points[sample])
+                    .zip(points.row(sample))
                     .map(|(x, y)| (x - y) * (x - y))
                     .sum();
                 if d < best_d {
@@ -360,7 +361,7 @@ impl Subsetter for StratifiedSubsetter {
             if counts[label] > 0 {
                 remap[label] = kept_samples.len();
                 kept_samples.push(sample);
-                centroids.push(points[sample].clone());
+                centroids.push(points.row(sample).to_vec());
             }
         }
         for a in &mut assignments {
@@ -410,19 +411,21 @@ impl Subsetter for PcaAggloSubsetter {
         "pca-agglo"
     }
 
-    fn fit_ordered(&self, points: &[Vec<f64>]) -> SubsetterFit {
-        let dim = points.first().map_or(0, Vec::len);
+    fn fit_ordered(&self, points: Points<'_>) -> SubsetterFit {
+        let rows = points.to_rows();
         // Degenerate inputs (one point, zero variance) fall back to the raw
         // feature space; the merge handles them either way.
-        let projected: Vec<Vec<f64>> = match Pca::fit(points, self.components.min(dim).max(1)) {
-            Ok(pca) if !pca.components().is_empty() => {
-                points.iter().map(|p| pca.project(p)).collect()
-            }
-            _ => points.to_vec(),
-        };
+        let projected: Vec<Vec<f64>> =
+            match Pca::fit(&rows, self.components.min(points.dim()).max(1)) {
+                Ok(pca) if !pca.components().is_empty() => {
+                    rows.iter().map(|p| pca.project(p)).collect()
+                }
+                _ => rows,
+            };
         let k = self.clusters.min(points.len()).max(1);
         let clustering = Hierarchical::with_cluster_count(Linkage::Average, k).fit(&projected);
-        fit_with_medoids(&projected, clustering)
+        let dim = projected.first().map_or(0, Vec::len);
+        fit_with_medoids(Points::new(&projected.concat(), dim), clustering)
     }
 
     fn incremental(&self, capacity: usize, seed: u64) -> Box<dyn IncrementalFit> {
@@ -444,20 +447,23 @@ mod tests {
         ]
     }
 
-    fn sample_points(n: usize) -> Vec<Vec<f64>> {
+    const DIM: usize = 3;
+
+    fn sample_points(n: usize) -> Vec<f64> {
         (0..n)
-            .map(|i| {
+            .flat_map(|i| {
                 let t = i as f64;
-                vec![(t * 0.7).sin() * 3.0, (t * 1.3).cos() * 2.0, t % 5.0]
+                [(t * 0.7).sin() * 3.0, (t * 1.3).cos() * 2.0, t % 5.0]
             })
             .collect()
     }
 
     #[test]
     fn every_backend_upholds_the_contract() {
-        let points = sample_points(40);
+        let data = sample_points(40);
+        let points = Points::new(&data, DIM);
         for backend in backends() {
-            let fit = backend.fit(&points);
+            let fit = backend.fit(points);
             fit.check(points.len())
                 .unwrap_or_else(|e| panic!("{}: {e}", backend.name()));
             assert!(!fit.clustering.is_empty(), "{}", backend.name());
@@ -467,7 +473,7 @@ mod tests {
     #[test]
     fn empty_input_fits_to_nothing() {
         for backend in backends() {
-            let fit = backend.fit(&[]);
+            let fit = backend.fit(Points::new(&[], DIM));
             assert_eq!(fit.clustering.len(), 0, "{}", backend.name());
             assert!(fit.representatives.is_empty());
         }
@@ -476,7 +482,7 @@ mod tests {
     #[test]
     fn single_point_is_its_own_representative() {
         for backend in backends() {
-            let fit = backend.fit(&[vec![1.0, 2.0]]);
+            let fit = backend.fit(Points::new(&[1.0, 2.0], 2));
             assert_eq!(fit.clustering.len(), 1, "{}", backend.name());
             assert_eq!(fit.representatives, vec![0], "{}", backend.name());
         }
@@ -484,7 +490,8 @@ mod tests {
 
     #[test]
     fn fit_is_permutation_invariant_up_to_content() {
-        let points = sample_points(30);
+        let data = sample_points(30);
+        let points = Points::new(&data, DIM);
         // A fixed shuffle (reversal plus interleave) of the input.
         let perm: Vec<usize> = (0..points.len())
             .map(|i| {
@@ -495,10 +502,11 @@ mod tests {
                 }
             })
             .collect();
-        let shuffled: Vec<Vec<f64>> = perm.iter().map(|&i| points[i].clone()).collect();
+        let shuffled_data = points.gather(&perm);
+        let shuffled = Points::new(&shuffled_data, DIM);
         for backend in backends() {
-            let a = backend.fit(&points);
-            let b = backend.fit(&shuffled);
+            let a = backend.fit(points);
+            let b = backend.fit(shuffled);
             // Same partition content: point perm[i] of the original is
             // point i of the shuffle, and labels are canonical, so the
             // label sequences must correspond under the permutation.
@@ -513,28 +521,24 @@ mod tests {
                 backend.name()
             );
             // Representative *vectors* (not indices) are invariant.
-            let reps_a: Vec<&Vec<f64>> = a.representatives.iter().map(|&r| &points[r]).collect();
-            let reps_b: Vec<&Vec<f64>> = b.representatives.iter().map(|&r| &shuffled[r]).collect();
+            let reps_a: Vec<&[f64]> = a.representatives.iter().map(|&r| points.row(r)).collect();
+            let reps_b: Vec<&[f64]> = b.representatives.iter().map(|&r| shuffled.row(r)).collect();
             assert_eq!(reps_a, reps_b, "{} representatives moved", backend.name());
         }
     }
 
     #[test]
     fn canonical_order_sorts_by_content() {
-        let points = vec![
-            vec![2.0, 0.0],
-            vec![1.0, 5.0],
-            vec![1.0, 3.0],
-            vec![1.0, 3.0],
-        ];
-        assert_eq!(canonical_order(&points), vec![2, 3, 1, 0]);
+        let data = [2.0, 0.0, 1.0, 5.0, 1.0, 3.0, 1.0, 3.0];
+        assert_eq!(canonical_order(Points::new(&data, 2)), vec![2, 3, 1, 0]);
     }
 
     #[test]
     fn stratified_rate_bounds_sample_count() {
-        let points = sample_points(64);
-        let sparse = StratifiedSubsetter::new(4, 0.1, 0).fit(&points);
-        let dense = StratifiedSubsetter::new(4, 0.9, 0).fit(&points);
+        let data = sample_points(64);
+        let points = Points::new(&data, DIM);
+        let sparse = StratifiedSubsetter::new(4, 0.1, 0).fit(points);
+        let dense = StratifiedSubsetter::new(4, 0.9, 0).fit(points);
         assert!(sparse.clustering.len() <= dense.clustering.len());
         // 4 strata × ≥1 sample each, duplicates aside.
         assert!(!sparse.clustering.is_empty());
@@ -543,19 +547,20 @@ mod tests {
 
     #[test]
     fn pca_agglo_hits_the_target_count() {
-        let points = sample_points(20);
-        let fit = PcaAggloSubsetter::new(2, 5).fit(&points);
+        let data = sample_points(20);
+        let fit = PcaAggloSubsetter::new(2, 5).fit(Points::new(&data, DIM));
         assert_eq!(fit.clustering.len(), 5);
     }
 
     #[test]
     fn threshold_backend_matches_partition_of_direct_threshold_on_sorted_input() {
         // On already-canonical input the trait adds nothing but medoids.
-        let points = sample_points(25);
-        let order = canonical_order(&points);
-        let sorted: Vec<Vec<f64>> = order.iter().map(|&i| points[i].clone()).collect();
-        let direct = ThresholdClustering::new(0.8).fit(&sorted);
-        let via_trait = ThresholdSubsetter::new(0.8).fit(&sorted);
+        let data = sample_points(25);
+        let points = Points::new(&data, DIM);
+        let sorted_data = points.gather(&canonical_order(points));
+        let sorted = Points::new(&sorted_data, DIM);
+        let direct = ThresholdClustering::new(0.8).fit(sorted);
+        let via_trait = ThresholdSubsetter::new(0.8).fit(sorted);
         assert_eq!(direct.assignments(), via_trait.clustering.assignments());
     }
 }

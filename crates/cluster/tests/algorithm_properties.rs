@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use subset3d_cluster::{
     adjusted_rand_index, bic_score, silhouette_score, Clustering, Hierarchical, KMeans, Linkage,
-    ThresholdClustering,
+    Points, ThresholdClustering,
 };
 
 fn points_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -56,8 +56,9 @@ proptest! {
 
     #[test]
     fn threshold_vs_itself_is_identical(points in points_strategy(), t in 0.0f64..20.0) {
-        let a = ThresholdClustering::new(t).fit(&points);
-        let b = ThresholdClustering::new(t).fit(&points);
+        let flat = points.concat();
+        let a = ThresholdClustering::new(t).fit(Points::new(&flat, 2));
+        let b = ThresholdClustering::new(t).fit(Points::new(&flat, 2));
         prop_assert_eq!(adjusted_rand_index(&a, &b), 1.0);
     }
 

@@ -8,7 +8,7 @@
 
 use crate::config::{ClusterMethod, SubsetConfig};
 use serde::{Deserialize, Serialize};
-use subset3d_cluster::{medoid_of, ThresholdClustering};
+use subset3d_cluster::{medoid_of, Points, ThresholdClustering};
 use subset3d_features::{extract_frame_features, FeatureMatrix};
 use subset3d_gpusim::WorkloadCost;
 use subset3d_stats::mean;
@@ -94,15 +94,15 @@ pub fn cluster_workload_global(workload: &Workload, config: &SubsetConfig) -> Gl
     if config.cost_weighting {
         matrix.apply_cost_weights();
     }
-    let points = matrix.to_rows();
-    let clustering = ThresholdClustering::new(distance).fit(&points);
+    let points = Points::new(matrix.as_slice(), matrix.cols());
+    let clustering = ThresholdClustering::new(distance).fit(points);
 
     let clusters = clustering
         .members()
         .into_iter()
         .filter(|m| !m.is_empty())
         .map(|members| {
-            let representative = medoid_of(&points, &members).expect("non-empty cluster");
+            let representative = medoid_of(points, &members).expect("non-empty cluster");
             GlobalCluster {
                 members: members.into_iter().map(|i| locations[i]).collect(),
                 representative: locations[representative],

@@ -3,7 +3,7 @@
 use crate::config::{ClusterMethod, SubsetConfig};
 use serde::{Deserialize, Serialize};
 use subset3d_cluster::{
-    KMeansSubsetter, PcaAggloSubsetter, StratifiedSubsetter, Subsetter as SubsetterBackend,
+    KMeansSubsetter, PcaAggloSubsetter, Points, StratifiedSubsetter, Subsetter as SubsetterBackend,
     ThresholdSubsetter,
 };
 use subset3d_features::extract_frame_features;
@@ -174,18 +174,24 @@ pub fn cluster_frame(frame: &Frame, workload: &Workload, config: &SubsetConfig) 
     if config.cost_weighting {
         matrix.apply_cost_weights();
     }
-    let rows = matrix.to_rows();
-    let points = match config.pca_components {
-        Some(k) => match subset3d_stats::Pca::fit(&rows, k) {
-            // Cluster in the projected space.
-            Ok(pca) => rows.iter().map(|r| pca.project(r)).collect(),
-            // Degenerate frames (a single draw) fall back to raw features.
-            Err(_) => rows,
-        },
-        None => rows,
+    // The backend reads the matrix storage in place; only the optional PCA
+    // projection builds a buffer of its own.
+    let projected = config.pca_components.and_then(|k| {
+        let pca = subset3d_stats::Pca::fit(&matrix.to_rows(), k).ok()?;
+        let dim = pca.components().len();
+        // Degenerate frames (a single draw, or no variance left for a
+        // component to keep) fall back to raw features.
+        (dim > 0).then(|| {
+            let data: Vec<f64> = matrix.iter_rows().flat_map(|r| pca.project(r)).collect();
+            (data, dim)
+        })
+    });
+    let points = match &projected {
+        Some((data, dim)) => Points::new(data, *dim),
+        None => Points::new(matrix.as_slice(), matrix.cols()),
     };
 
-    let fit = subsetter_for(&config.method, config.seed).fit(&points);
+    let fit = subsetter_for(&config.method, config.seed).fit(points);
     let clusters = fit
         .clustering
         .members()

@@ -1,7 +1,7 @@
 //! The end-to-end subsetting pipeline.
 
 use crate::config::SubsetConfig;
-use crate::drawcluster::{cluster_frame, FrameClustering};
+use crate::drawcluster::{cluster_frame, frame_feature_point, subsetter_for, FrameClustering};
 use crate::error::SubsetError;
 use crate::outlier::outlier_fraction;
 use crate::pattern::PhasePattern;
@@ -9,6 +9,7 @@ use crate::phase::{PhaseAnalysis, PhaseDetector};
 use crate::predict::{predict_frame, FramePrediction};
 use crate::subset::WorkloadSubset;
 use serde::{Deserialize, Serialize};
+use subset3d_cluster::Points;
 use subset3d_gpusim::Simulator;
 use subset3d_obs::LazyHistogram;
 use subset3d_stats::{mean, mean_iter};
@@ -238,12 +239,13 @@ impl Subsetter {
         if workload.frames().is_empty() {
             return Err(SubsetError::EmptyWorkload);
         }
-        let points: Vec<Vec<f64>> = workload
-            .frames()
-            .iter()
-            .map(|frame| crate::drawcluster::frame_feature_point(frame, workload, &self.config))
-            .collect();
-        Ok(crate::drawcluster::subsetter_for(&self.config.method, self.config.seed).fit(&points))
+        let dim = self.config.features.len();
+        let mut points = Vec::with_capacity(workload.frames().len() * dim);
+        for frame in workload.frames() {
+            points.extend(frame_feature_point(frame, workload, &self.config));
+        }
+        let backend = subsetter_for(&self.config.method, self.config.seed);
+        Ok(backend.fit(Points::new(&points, dim)))
     }
 
     /// Clusters every frame, in parallel on the shared [`subset3d_exec`]

@@ -72,13 +72,19 @@ impl FeatureMatrix {
         &self.data[i * d..(i + 1) * d]
     }
 
+    /// The row-major storage: row `i` is `as_slice()[i * cols()..(i + 1) *
+    /// cols()]`. Clustering reads it in place as its point set.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Iterates over rows.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.cols().max(1)).take(self.rows)
     }
 
-    /// Copies the rows into owned vectors (the clustering substrate's input
-    /// format).
+    /// Copies the rows into owned vectors (the input format of
+    /// `subset3d_stats::Pca`).
     pub fn to_rows(&self) -> Vec<Vec<f64>> {
         self.iter_rows().map(<[f64]>::to_vec).collect()
     }
@@ -148,6 +154,7 @@ mod tests {
         assert_eq!(m.row(1), &[3.0, 4.0]);
         assert_eq!(m.column(1), vec![2.0, 4.0]);
         assert_eq!(m.to_rows(), vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
+        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

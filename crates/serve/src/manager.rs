@@ -55,7 +55,8 @@ impl std::fmt::Display for SessionId {
 pub struct TimedUpdate {
     /// The re-emitted subset.
     pub update: SubsetUpdate,
-    /// Wall time of the ingest call, nanoseconds.
+    /// Wall time of the session's ingest, nanoseconds: the same sample
+    /// the session's `serve.session.ingest_ns` family records.
     pub ingest_ns: u64,
 }
 
@@ -181,13 +182,22 @@ impl SessionManager {
     /// Returns [`ServeError::UnknownSession`] for closed/unknown ids and
     /// propagates simulator failures.
     pub fn ingest(&self, id: SessionId, frames: &[Frame]) -> Result<SubsetUpdate, ServeError> {
+        self.ingest_timed(id, frames).map(|timed| timed.update)
+    }
+
+    /// [`SessionManager::ingest`], returning the ingest time it records in
+    /// the session's telemetry family. Callers report that one sample; a
+    /// second clock around the call would read a few microseconds more
+    /// and could land in the next power-of-two bucket.
+    fn ingest_timed(&self, id: SessionId, frames: &[Frame]) -> Result<TimedUpdate, ServeError> {
         let entry = self.session(id)?;
         entry.last_touched.store(self.now_ns(), Ordering::Relaxed);
         let start = Instant::now();
         let update = entry.session.lock().ingest(frames)?;
-        entry.obs.ingest.record(start.elapsed().as_nanos() as u64);
+        let ingest_ns = start.elapsed().as_nanos() as u64;
+        entry.obs.ingest.record(ingest_ns);
         entry.obs.occupancy.set(update.reservoir_occupancy as i64);
-        Ok(update)
+        Ok(TimedUpdate { update, ingest_ns })
     }
 
     /// Ingests a batch of chunks into their sessions concurrently on the
@@ -204,11 +214,7 @@ impl SessionManager {
     ) -> Vec<Result<TimedUpdate, ServeError>> {
         subset3d_exec::par_map_indexed(requests, |_, (id, frames)| {
             subset3d_obs::claim_thread_slot();
-            let start = Instant::now();
-            self.ingest(*id, frames).map(|update| TimedUpdate {
-                update,
-                ingest_ns: start.elapsed().as_nanos() as u64,
-            })
+            self.ingest_timed(*id, frames)
         })
     }
 

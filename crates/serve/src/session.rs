@@ -22,7 +22,7 @@
 
 use crate::error::ServeError;
 use serde::{Deserialize, Serialize};
-use subset3d_cluster::{IncrementalFit, SubsetterFit};
+use subset3d_cluster::{IncrementalFit, Points, SubsetterFit};
 use subset3d_core::{
     cluster_frame, frame_feature_point, predict_frame, FrameClustering, SubsetConfig,
 };
@@ -347,7 +347,7 @@ impl Session {
         self.rls.update(&x, error);
 
         let point = frame_feature_point(frame, &self.tables, &self.config.subset);
-        self.incremental.ingest(std::slice::from_ref(&point));
+        self.incremental.ingest(Points::new(&point, point.len()));
 
         self.frame_ids.push(frame.id.raw());
         self.draws_seen += draws;
@@ -428,7 +428,7 @@ impl Session {
             retained_bits: self
                 .incremental
                 .retained()
-                .iter()
+                .rows()
                 .map(|p| p.iter().map(|v| v.to_bits()).collect())
                 .collect(),
             retained_indices: self.incremental.retained_stream_indices().to_vec(),

@@ -1,6 +1,6 @@
 //! Correctness tooling for the subset3d workspace.
 //!
-//! Three independent layers, each attacking a different failure class of
+//! Five independent layers, each attacking a different failure class of
 //! the optimized pipeline (see `DESIGN.md`, *Correctness tooling*):
 //!
 //! 1. **Differential oracle** ([`oracle`]) — runs the deliberately naive
@@ -23,6 +23,9 @@
 //!    pipeline's output: bit-identical while the stream fits the session
 //!    reservoir (at any chunk size and thread count), bounded error-bound
 //!    drift once the reservoir overflows.
+//! 5. **Threshold-fit reference** ([`reference`]) — the scalar leader scan,
+//!    medoid and canonical presort over one `Vec<f64>` per point, frozen
+//!    as the production lane-block kernel's bit-for-bit reference.
 //!
 //! [`corpus`] supplies the fixed-seed workloads every layer runs against.
 
@@ -32,4 +35,5 @@ pub mod corpus;
 pub mod golden;
 pub mod metamorphic;
 pub mod oracle;
+pub mod reference;
 pub mod streaming;

@@ -17,7 +17,7 @@
 //!
 //! Everything else is exact.
 
-use subset3d_cluster::Subsetter as SubsetterBackend;
+use subset3d_cluster::{Points, Subsetter as SubsetterBackend};
 use subset3d_core::{predict_frame, FrameClustering};
 use subset3d_gpusim::{ArchConfig, CacheMode, FrameCost, Simulator};
 use subset3d_trace::{Frame, Workload};
@@ -237,7 +237,7 @@ pub fn check_cluster_relabeling(
 /// Returns the backend name plus the first contract violation.
 pub fn check_backend_partition(
     backend: &dyn SubsetterBackend,
-    points: &[Vec<f64>],
+    points: Points<'_>,
 ) -> Result<(), String> {
     let fit = backend.fit(points);
     fit.check(points.len())
@@ -258,7 +258,7 @@ pub fn check_backend_partition(
 /// malformed `permutation`.
 pub fn check_backend_permutation(
     backend: &dyn SubsetterBackend,
-    points: &[Vec<f64>],
+    points: Points<'_>,
     permutation: &[usize],
 ) -> Result<(), String> {
     if permutation.len() != points.len() {
@@ -275,9 +275,10 @@ pub fn check_backend_permutation(
         }
         seen[p] = true;
     }
-    let shuffled: Vec<Vec<f64>> = permutation.iter().map(|&i| points[i].clone()).collect();
+    let shuffled_data = points.gather(permutation);
+    let shuffled = Points::new(&shuffled_data, points.dim());
     let a = backend.fit(points);
-    let b = backend.fit(&shuffled);
+    let b = backend.fit(shuffled);
     // Point permutation[i] of the original is point i of the shuffle, so
     // under canonical labels the sequences must correspond exactly.
     let relabeled: Vec<usize> = permutation
@@ -290,8 +291,8 @@ pub fn check_backend_permutation(
             backend.name()
         ));
     }
-    let reps_a: Vec<&Vec<f64>> = a.representatives.iter().map(|&r| &points[r]).collect();
-    let reps_b: Vec<&Vec<f64>> = b.representatives.iter().map(|&r| &shuffled[r]).collect();
+    let reps_a: Vec<&[f64]> = a.representatives.iter().map(|&r| points.row(r)).collect();
+    let reps_b: Vec<&[f64]> = b.representatives.iter().map(|&r| shuffled.row(r)).collect();
     if reps_a != reps_b {
         return Err(format!(
             "backend {}: representative vectors depend on point order",
@@ -338,15 +339,16 @@ mod tests {
 
     #[test]
     fn backend_checkers_pass_and_reject() {
-        let points: Vec<Vec<f64>> = (0..20)
-            .map(|i| vec![(i as f64 * 0.9).sin() * 2.0, i as f64 % 3.0])
+        let data: Vec<f64> = (0..20)
+            .flat_map(|i| [(i as f64 * 0.9).sin() * 2.0, i as f64 % 3.0])
             .collect();
+        let points = Points::new(&data, 2);
         let backend = ThresholdSubsetter::new(0.7);
-        check_backend_partition(&backend, &points).unwrap();
+        check_backend_partition(&backend, points).unwrap();
         let reversed: Vec<usize> = (0..points.len()).rev().collect();
-        check_backend_permutation(&backend, &points, &reversed).unwrap();
+        check_backend_permutation(&backend, points, &reversed).unwrap();
         let bad = vec![0; points.len()];
-        let err = check_backend_permutation(&backend, &points, &bad).unwrap_err();
+        let err = check_backend_permutation(&backend, points, &bad).unwrap_err();
         assert!(err.contains("not a permutation"), "{err}");
     }
 

@@ -6,10 +6,10 @@
 
 use proptest::prelude::*;
 use subset3d_cluster::{
-    KMeansSubsetter, PcaAggloSubsetter, StratifiedSubsetter, Subsetter, ThresholdSubsetter,
+    KMeansSubsetter, PcaAggloSubsetter, Points, StratifiedSubsetter, Subsetter, ThresholdSubsetter,
 };
 use subset3d_core::SubsetConfig;
-use subset3d_features::extract_frame_features;
+use subset3d_features::{extract_frame_features, FeatureMatrix};
 use subset3d_testkit::metamorphic::{check_backend_partition, check_backend_permutation};
 use subset3d_trace::gen::GameProfile;
 
@@ -24,9 +24,9 @@ fn backends() -> Vec<Box<dyn Subsetter>> {
     ]
 }
 
-/// One frame's normalised feature vectors, exactly as `cluster_frame`
-/// feeds them to the backend.
-fn frame_points(profile: usize, seed: u64) -> Vec<Vec<f64>> {
+/// One frame's normalised feature matrix, whose storage `cluster_frame`
+/// feeds to the backend.
+fn frame_points(profile: usize, seed: u64) -> FeatureMatrix {
     let builder = match profile {
         0 => GameProfile::shooter("props"),
         1 => GameProfile::rts("props"),
@@ -41,7 +41,7 @@ fn frame_points(profile: usize, seed: u64) -> Vec<Vec<f64>> {
     let frame = &w.frames()[0];
     let mut matrix = extract_frame_features(frame, &w, config.features.clone());
     matrix.normalize(config.normalization);
-    matrix.to_rows()
+    matrix
 }
 
 /// Argsort with index tiebreak: turns arbitrary sort keys into a
@@ -60,9 +60,10 @@ proptest! {
     /// in-cluster representative per cluster.
     #[test]
     fn backends_partition_every_draw(profile in 0usize..3, seed in 1u64..10_000) {
-        let points = frame_points(profile, seed);
+        let matrix = frame_points(profile, seed);
+        let points = Points::new(matrix.as_slice(), matrix.cols());
         for backend in backends() {
-            let r = check_backend_partition(backend.as_ref(), &points);
+            let r = check_backend_partition(backend.as_ref(), points);
             prop_assert!(r.is_ok(), "{r:?}");
         }
     }
@@ -75,10 +76,11 @@ proptest! {
         seed in 1u64..10_000,
         keys in prop::collection::vec(any::<u64>(), DRAWS_PER_FRAME),
     ) {
-        let points = frame_points(profile, seed);
+        let matrix = frame_points(profile, seed);
+        let points = Points::new(matrix.as_slice(), matrix.cols());
         let perm = argsort(&keys, points.len());
         for backend in backends() {
-            let r = check_backend_permutation(backend.as_ref(), &points, &perm);
+            let r = check_backend_permutation(backend.as_ref(), points, &perm);
             prop_assert!(r.is_ok(), "{r:?}");
         }
     }

@@ -16,6 +16,11 @@ cargo build --release
 # package, not the member crates.
 cargo test -q --workspace
 
+# The benchmark's own tests (its own package and workspace, built against
+# these crates by path): a library signature change that breaks the
+# benchmark fails here rather than at benchmark time.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Correctness harness: the fault-injection feature compiles the batch-cache
 # mutation hook so mutation_caught can prove the oracle detects a seeded
 # one-ulp corruption; the oracle matrix and golden-snapshot gates run in

@@ -63,7 +63,7 @@ pub use subset3d_trace as trace;
 
 /// Convenience re-exports of the types most programs need.
 pub mod prelude {
-    pub use subset3d_cluster::{KMeans, ThresholdClustering};
+    pub use subset3d_cluster::{KMeans, Points, ThresholdClustering};
     pub use subset3d_core::{
         subset_suite, PhaseDetector, SubsetConfig, Subsetter, SubsettingOutcome, SuiteOutcome,
         WorkloadSubset,

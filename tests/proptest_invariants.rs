@@ -1,7 +1,7 @@
 //! Property-based invariants across the workspace, via proptest.
 
 use proptest::prelude::*;
-use subset3d::cluster::{medoid_of, KMeans, ThresholdClustering};
+use subset3d::cluster::{medoid_of, KMeans, Points, ThresholdClustering};
 use subset3d::core::{cluster_frame, predict_frame, ShaderVector, SubsetConfig};
 use subset3d::features::{euclidean, manhattan};
 use subset3d::gpusim::{ArchConfig, Simulator};
@@ -120,7 +120,8 @@ proptest! {
 
     #[test]
     fn threshold_clustering_is_a_partition(points in points_strategy(), t in 0.0f64..50.0) {
-        let c = ThresholdClustering::new(t).fit(&points);
+        let flat = points.concat();
+        let c = ThresholdClustering::new(t).fit(Points::new(&flat, 3));
         prop_assert_eq!(c.point_count(), points.len());
         let mut seen = vec![false; points.len()];
         for members in c.members() {
@@ -146,11 +147,13 @@ proptest! {
 
     #[test]
     fn medoid_is_member_and_stable(points in points_strategy()) {
+        let flat = points.concat();
+        let view = Points::new(&flat, 3);
         let members: Vec<usize> = (0..points.len()).collect();
-        let m = medoid_of(&points, &members);
+        let m = medoid_of(view, &members);
         prop_assert!(m.is_some());
         prop_assert!(members.contains(&m.unwrap()));
-        prop_assert_eq!(m, medoid_of(&points, &members));
+        prop_assert_eq!(m, medoid_of(view, &members));
     }
 
     #[test]
