@@ -111,8 +111,10 @@ impl SubsettingOutcome {
 /// The end-to-end subsetting pipeline: cluster every frame, evaluate
 /// prediction quality, detect phases, and assemble the subset.
 ///
-/// Frames are clustered in parallel (they are independent); everything is
-/// deterministic for a given configuration.
+/// Frames are independent, so both per-frame stages — clustering, then
+/// simulation plus prediction — run one task per frame on the shared
+/// [`subset3d_exec`] pool. Results land in frame order, so everything is
+/// deterministic for a given configuration at any thread count.
 #[derive(Debug, Clone)]
 pub struct Subsetter {
     config: SubsetConfig,
@@ -136,7 +138,9 @@ impl Subsetter {
     ///
     /// Returns [`SubsetError::InvalidConfig`] for inconsistent
     /// configurations, [`SubsetError::EmptyWorkload`] for empty traces, and
-    /// propagates simulator errors.
+    /// propagates simulator errors as [`SubsetError::Simulation`]: when
+    /// several frames fail, the error of the first in trace order,
+    /// whatever the thread count.
     pub fn run(
         &self,
         workload: &Workload,
@@ -160,32 +164,12 @@ impl Subsetter {
         t_clustering.end();
         clustering_span.end();
 
-        // Ground-truth frame costs and prediction quality (sequential: the
-        // analytical simulator is far cheaper than clustering).
+        // Ground-truth frame costs and prediction quality, one pool task
+        // per frame. Each task drops its frame's costs once predicted, so
+        // at most one frame's costs per thread are alive at a time.
         let evaluation_span = subset3d_obs::span(&OBS_EVALUATION);
         let t_evaluation = subset3d_obs::trace_span("pipeline", "pipeline.evaluation");
-        let mut frames = Vec::with_capacity(workload.frames().len());
-        let mut efficiencies = Vec::with_capacity(workload.frames().len());
-        for (frame, clustering) in workload.frames().iter().zip(&clusterings) {
-            let t_frame = subset3d_obs::trace_span_arg(
-                "pipeline",
-                "frame.simulate",
-                "frame",
-                u64::from(frame.id.raw()),
-            );
-            // Empty frames skip feature extraction (no flow start to pair).
-            if !frame.is_empty() {
-                subset3d_obs::trace_flow_end("pipeline", "frame.link", u64::from(frame.id.raw()));
-            }
-            let cost = sim.simulate_frame(frame, workload)?;
-            t_frame.end();
-            frames.push(predict_frame(clustering, &cost));
-            efficiencies.push(clustering.efficiency());
-        }
-        let evaluation = WorkloadEvaluation {
-            frames,
-            efficiencies,
-        };
+        let evaluation = evaluate_frames(workload, sim, &clusterings)?;
         t_evaluation.end();
         evaluation_span.end();
 
@@ -261,6 +245,41 @@ impl Subsetter {
             cluster_frame(frame, workload, &self.config)
         })
     }
+}
+
+/// Simulates every frame and predicts its cost from its clustering, in
+/// parallel on the shared [`subset3d_exec`] pool. Predictions are in
+/// frame order and identical at any thread count; on failure the error
+/// is that of the first failing frame in trace order.
+fn evaluate_frames(
+    workload: &Workload,
+    sim: &Simulator,
+    clusterings: &[FrameClustering],
+) -> Result<WorkloadEvaluation, SubsetError> {
+    let frames = subset3d_exec::par_map_indexed(workload.frames(), |i, frame| {
+        let t_frame = subset3d_obs::trace_span_arg(
+            "pipeline",
+            "frame.simulate",
+            "frame",
+            u64::from(frame.id.raw()),
+        );
+        // Empty frames skip feature extraction (no flow start to pair).
+        if !frame.is_empty() {
+            subset3d_obs::trace_flow_end("pipeline", "frame.link", u64::from(frame.id.raw()));
+        }
+        let cost = sim.simulate_frame(frame, workload);
+        t_frame.end();
+        cost.map(|cost| predict_frame(&clusterings[i], &cost))
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
+    Ok(WorkloadEvaluation {
+        frames,
+        efficiencies: clusterings
+            .iter()
+            .map(FrameClustering::efficiency)
+            .collect(),
+    })
 }
 
 #[cfg(test)]

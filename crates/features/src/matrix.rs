@@ -118,20 +118,100 @@ impl FeatureMatrix {
         }
     }
 
-    /// Normalises every column in place. See [`Normalization`].
+    /// Normalises every column in place: `(v - offset) / scale` with each
+    /// column's own parameters. [`Normalization::ZScore`] uses the
+    /// column's mean and sample standard deviation, [`Normalization::MinMax`]
+    /// its NaN-skipping minimum and range; a zero or NaN spread scales by
+    /// `1.0` so a degenerate column never divides by zero.
+    ///
+    /// Per-column accumulators advance row by row over the row-major
+    /// storage, so every column sees the operations of
+    /// `subset3d_stats::{mean, std_dev, min, max}` in the same row order
+    /// and the result is bit-identical to normalising column by column.
     pub fn normalize(&mut self, method: Normalization) {
-        if self.rows == 0 || method == Normalization::None {
+        let dim = self.cols();
+        if self.rows == 0 || dim == 0 {
             return;
         }
-        let dim = self.cols();
-        for c in 0..dim {
-            let col = self.column(c);
-            let (offset, scale) = method.parameters(&col);
-            for r in 0..self.rows {
-                let v = &mut self.data[r * dim + c];
+        let (offsets, scales) = match method {
+            Normalization::None => return,
+            Normalization::ZScore => self.zscore_parameters(),
+            Normalization::MinMax => self.minmax_parameters(),
+        };
+        for row in self.data.chunks_exact_mut(dim) {
+            for ((v, &offset), &scale) in row.iter_mut().zip(&offsets).zip(&scales) {
                 *v = (*v - offset) / scale;
             }
         }
+    }
+
+    /// Per-column `(mean, sd)` for z-scoring: the Kahan mean of
+    /// `subset3d_stats::mean`, then the plain sum of squared deviations
+    /// of `subset3d_stats::variance`.
+    fn zscore_parameters(&self) -> (Vec<f64>, Vec<f64>) {
+        let dim = self.cols();
+        let mut means = vec![0.0f64; dim];
+        let mut comps = vec![0.0f64; dim];
+        for row in self.data.chunks_exact(dim) {
+            for ((acc, comp), &v) in means.iter_mut().zip(&mut comps).zip(row) {
+                let y = v - *comp;
+                let t = *acc + y;
+                *comp = (t - *acc) - y;
+                *acc = t;
+            }
+        }
+        for m in &mut means {
+            *m /= self.rows as f64;
+        }
+        if self.rows < 2 {
+            // Sample variance of fewer than two values is 0: unit scale.
+            return (means, vec![1.0; dim]);
+        }
+        // Sums of squared deviations, turned into scales in place.
+        let mut scales = vec![0.0f64; dim];
+        for row in self.data.chunks_exact(dim) {
+            for ((ss, &m), &v) in scales.iter_mut().zip(&means).zip(row) {
+                *ss += (v - m) * (v - m);
+            }
+        }
+        for ss in &mut scales {
+            *ss = divisor((*ss / (self.rows - 1) as f64).sqrt());
+        }
+        (means, scales)
+    }
+
+    /// Per-column `(min, range)` for min-max scaling, from the NaN-skipping
+    /// folds of `subset3d_stats::{min, max}`; an all-NaN column reads as
+    /// `0.0`.
+    fn minmax_parameters(&self) -> (Vec<f64>, Vec<f64>) {
+        let dim = self.cols();
+        let mut lo: Vec<Option<f64>> = vec![None; dim];
+        let mut hi: Vec<Option<f64>> = vec![None; dim];
+        for row in self.data.chunks_exact(dim) {
+            for ((lo, hi), &v) in lo.iter_mut().zip(&mut hi).zip(row) {
+                if !v.is_nan() {
+                    *lo = Some(lo.map_or(v, |a| a.min(v)));
+                    *hi = Some(hi.map_or(v, |a| a.max(v)));
+                }
+            }
+        }
+        let offsets: Vec<f64> = lo.iter().map(|l| l.unwrap_or(0.0)).collect();
+        let scales = hi
+            .iter()
+            .zip(&offsets)
+            .map(|(h, &l)| divisor(h.unwrap_or(0.0) - l))
+            .collect();
+        (offsets, scales)
+    }
+}
+
+/// A column's spread as its normalisation divisor: a zero or NaN spread
+/// divides by `1.0`.
+fn divisor(spread: f64) -> f64 {
+    if spread > 0.0 {
+        spread
+    } else {
+        1.0
     }
 }
 

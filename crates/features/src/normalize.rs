@@ -15,60 +15,9 @@ pub enum Normalization {
     None,
 }
 
-impl Normalization {
-    /// Returns `(offset, scale)` such that `(v - offset) / scale` normalises
-    /// a value of the column. Degenerate columns (zero spread) return scale
-    /// `1.0` so normalisation never divides by zero.
-    pub fn parameters(self, column: &[f64]) -> (f64, f64) {
-        match self {
-            Normalization::None => (0.0, 1.0),
-            Normalization::ZScore => {
-                let mean = subset3d_stats::mean(column);
-                let sd = subset3d_stats::std_dev(column);
-                (mean, if sd > 0.0 { sd } else { 1.0 })
-            }
-            Normalization::MinMax => {
-                let lo = subset3d_stats::min(column).unwrap_or(0.0);
-                let hi = subset3d_stats::max(column).unwrap_or(0.0);
-                let range = hi - lo;
-                (lo, if range > 0.0 { range } else { 1.0 })
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn none_is_identity() {
-        assert_eq!(Normalization::None.parameters(&[5.0, 9.0]), (0.0, 1.0));
-    }
-
-    #[test]
-    fn zscore_parameters() {
-        let (offset, scale) = Normalization::ZScore.parameters(&[1.0, 2.0, 3.0]);
-        assert_eq!(offset, 2.0);
-        assert!((scale - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn minmax_parameters() {
-        let (offset, scale) = Normalization::MinMax.parameters(&[2.0, 6.0]);
-        assert_eq!(offset, 2.0);
-        assert_eq!(scale, 4.0);
-    }
-
-    #[test]
-    fn degenerate_columns_never_divide_by_zero() {
-        for method in [Normalization::ZScore, Normalization::MinMax] {
-            let (_, scale) = method.parameters(&[3.0, 3.0, 3.0]);
-            assert_eq!(scale, 1.0);
-            let (_, scale) = method.parameters(&[]);
-            assert_eq!(scale, 1.0);
-        }
-    }
 
     #[test]
     fn default_is_zscore() {

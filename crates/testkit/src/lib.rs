@@ -23,9 +23,11 @@
 //!    pipeline's output: bit-identical while the stream fits the session
 //!    reservoir (at any chunk size and thread count), bounded error-bound
 //!    drift once the reservoir overflows.
-//! 5. **Threshold-fit reference** ([`reference`]) — the scalar leader scan,
-//!    medoid and canonical presort over one `Vec<f64>` per point, frozen
-//!    as the production lane-block kernel's bit-for-bit reference.
+//! 5. **Frozen references** ([`reference`]) — the scalar leader scan,
+//!    medoid and canonical presort over one `Vec<f64>` per point, and the
+//!    column-at-a-time feature normaliser, frozen as the bit-for-bit
+//!    references of the production lane-block kernel and one-pass
+//!    normaliser.
 //!
 //! [`corpus`] supplies the fixed-seed workloads every layer runs against.
 

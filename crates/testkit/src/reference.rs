@@ -1,16 +1,22 @@
-//! The frozen scalar reference of the threshold fit.
+//! Frozen scalar references of the threshold fit and the feature
+//! normaliser.
 //!
-//! The plainest form of the leader clustering: one `Vec<f64>` per point,
+//! The threshold fit in its plainest form: one `Vec<f64>` per point,
 //! every point tested against every leader from leader 0 with an
 //! early-exit squared-distance sum, the exact medoid summing each
 //! member's distances in member order, and the canonical presort over row
-//! vectors. It is deliberately naive and must stay that way: the
-//! differential tests hold the production kernel
-//! ([`subset3d_cluster::ThresholdClustering`] and
-//! [`subset3d_cluster::ThresholdSubsetter`]) to it bit for bit, on
-//! assignments, centroid bits and representatives.
+//! vectors. The normaliser column at a time: each column copied out,
+//! its parameters taken from `subset3d_stats::{mean, std_dev, min, max}`,
+//! then applied down the column. Both are deliberately naive and must
+//! stay that way: the differential tests hold the production kernels
+//! ([`subset3d_cluster::ThresholdClustering`],
+//! [`subset3d_cluster::ThresholdSubsetter`] and
+//! [`subset3d_features::FeatureMatrix::normalize`]) to them bit for bit —
+//! on assignments, centroid bits and representatives, and on every
+//! normalised value.
 
 use subset3d_cluster::{Clustering, SubsetterFit};
+use subset3d_features::{FeatureMatrix, Normalization};
 
 /// Leader clustering: each point joins the first leader, scanned from
 /// leader 0, within `threshold`; otherwise it becomes a leader. Centroids
@@ -148,9 +154,84 @@ fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
+/// Returns `(offset, scale)` such that `(v - offset) / scale` normalises
+/// a value of `column`. Degenerate columns (zero or NaN spread) return
+/// scale `1.0` so normalisation never divides by zero.
+pub fn normalization_parameters(method: Normalization, column: &[f64]) -> (f64, f64) {
+    match method {
+        Normalization::None => (0.0, 1.0),
+        Normalization::ZScore => {
+            let mean = subset3d_stats::mean(column);
+            let sd = subset3d_stats::std_dev(column);
+            (mean, if sd > 0.0 { sd } else { 1.0 })
+        }
+        Normalization::MinMax => {
+            let lo = subset3d_stats::min(column).unwrap_or(0.0);
+            let hi = subset3d_stats::max(column).unwrap_or(0.0);
+            let range = hi - lo;
+            (lo, if range > 0.0 { range } else { 1.0 })
+        }
+    }
+}
+
+/// The column-at-a-time normaliser: every column copied out with
+/// [`FeatureMatrix::column`], its [`normalization_parameters`], then
+/// `(v - offset) / scale` applied in place down the column of a copy of
+/// the storage, which becomes the returned matrix.
+pub fn normalize(matrix: &FeatureMatrix, method: Normalization) -> FeatureMatrix {
+    let (rows, dim) = (matrix.rows(), matrix.cols());
+    let mut data = matrix.as_slice().to_vec();
+    if rows > 0 && method != Normalization::None {
+        for c in 0..dim {
+            let (offset, scale) = normalization_parameters(method, &matrix.column(c));
+            for r in 0..rows {
+                let v = &mut data[r * dim + c];
+                *v = (*v - offset) / scale;
+            }
+        }
+    }
+    let mut out = FeatureMatrix::with_capacity(matrix.kinds().to_vec(), rows);
+    for r in 0..rows {
+        out.push_row(&data[r * dim..(r + 1) * dim]);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn none_is_identity() {
+        assert_eq!(
+            normalization_parameters(Normalization::None, &[5.0, 9.0]),
+            (0.0, 1.0)
+        );
+    }
+
+    #[test]
+    fn zscore_parameters() {
+        let (offset, scale) = normalization_parameters(Normalization::ZScore, &[1.0, 2.0, 3.0]);
+        assert_eq!(offset, 2.0);
+        assert!((scale - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn minmax_parameters() {
+        let (offset, scale) = normalization_parameters(Normalization::MinMax, &[2.0, 6.0]);
+        assert_eq!(offset, 2.0);
+        assert_eq!(scale, 4.0);
+    }
+
+    #[test]
+    fn degenerate_columns_never_divide_by_zero() {
+        for method in [Normalization::ZScore, Normalization::MinMax] {
+            let (_, scale) = normalization_parameters(method, &[3.0, 3.0, 3.0]);
+            assert_eq!(scale, 1.0);
+            let (_, scale) = normalization_parameters(method, &[]);
+            assert_eq!(scale, 1.0);
+        }
+    }
 
     #[test]
     fn reference_scan_founds_and_joins_leaders() {

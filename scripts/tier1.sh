@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1 gate (see ROADMAP.md): formatting and lint gates, release build +
-# test suite, the correctness harness (differential oracle, mutation
-# catch, golden snapshots), a trace-subsystem smoke test, then the
-# pipeline throughput report (writes BENCH_pipeline.json at repo root).
+# test suite, the experiment-results drift gate, the correctness harness
+# (differential oracle, mutation catch, golden snapshots), a
+# trace-subsystem smoke test, then the pipeline throughput report
+# (writes BENCH_pipeline.json at repo root).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -15,6 +16,14 @@ cargo build --release
 # --workspace: a bare `cargo test` at the root tests only the root
 # package, not the member crates.
 cargo test -q --workspace
+# The vendored proptest stand-in is a path dependency, not a workspace
+# member, so --workspace skips its own unit tests (seed persistence
+# among them); select it by name.
+cargo test -q -p proptest
+
+# Results drift: every exp_* binary's stdout must match its committed
+# results/<name>.txt byte for byte.
+sh scripts/check_results.sh
 
 # The benchmark's own tests (its own package and workspace, built against
 # these crates by path): a library signature change that breaks the
