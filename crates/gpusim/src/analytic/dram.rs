@@ -1,5 +1,6 @@
 //! Memory traffic: the DRAM bytes a draw moves.
 
+use crate::analytic::raster::rasterised_pixels;
 use crate::analytic::texture::TextureTraffic;
 use crate::config::ArchConfig;
 use subset3d_trace::{DepthMode, DrawCall, ShaderProgram};
@@ -14,6 +15,53 @@ const COLOR_COMPRESSION: f64 = 0.6;
 /// Hierarchical-Z compression factor applied to depth traffic.
 const DEPTH_COMPRESSION: f64 = 0.5;
 
+/// The config-independent half of a draw's DRAM traffic: vertex,
+/// colour and depth bytes. Texture bytes depend on the config twice over
+/// (texture-cache misses, then the L2), so they join in the config half.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DramWork {
+    vertex_bytes: f64,
+    color_bytes: f64,
+    depth_bytes: f64,
+}
+
+impl DramWork {
+    /// `shaded` and `rasterised` are the draw's shaded and rasterised
+    /// pixel counts.
+    pub(crate) fn new(draw: &DrawCall, shaded: f64, rasterised: f64) -> Self {
+        let vertex_bytes = draw.vertex_invocations() as f64 * VERTEX_FETCH_BYTES;
+        let write_factor = if draw.blend.reads_destination() {
+            2.0
+        } else {
+            1.0
+        };
+        let color_bytes =
+            shaded * draw.render_target.bytes_per_pixel() * write_factor * COLOR_COMPRESSION;
+        let depth_bytes = match draw.depth {
+            DepthMode::Disabled => 0.0,
+            DepthMode::TestOnly => rasterised * 4.0 * DEPTH_COMPRESSION,
+            // Read on every rasterised fragment, write on passing fragments.
+            DepthMode::TestAndWrite => (rasterised + shaded) * 4.0 * DEPTH_COMPRESSION,
+        };
+        DramWork {
+            vertex_bytes,
+            color_bytes,
+            depth_bytes,
+        }
+    }
+
+    /// The config half: the texture-cache miss stream `tex` filtered by
+    /// `config`'s L2, summed with the other traffic.
+    pub(crate) fn bytes(&self, config: &ArchConfig, tex: &TextureTraffic) -> f64 {
+        // The L2 absorbs part of the texture-cache miss stream; how much
+        // depends on how the bound footprint compares to L2 capacity.
+        let l2_bytes = f64::from(config.l2_cache_kib) * 1024.0;
+        let l2_hit = (l2_bytes / (tex.miss_bytes + l2_bytes)) * 0.8;
+        let texture_bytes = tex.miss_bytes * (1.0 - l2_hit);
+        self.vertex_bytes + texture_bytes + self.color_bytes + self.depth_bytes
+    }
+}
+
 /// Total DRAM bytes moved by a draw: vertex fetch, texture misses filtered
 /// by the L2, colour writes and depth traffic.
 pub fn dram_bytes(
@@ -22,40 +70,7 @@ pub fn dram_bytes(
     config: &ArchConfig,
     tex: &TextureTraffic,
 ) -> f64 {
-    let vertex_bytes = draw.vertex_invocations() as f64 * VERTEX_FETCH_BYTES;
-
-    // The L2 absorbs part of the texture-cache miss stream; how much depends
-    // on how the bound footprint compares to L2 capacity.
-    let l2_bytes = f64::from(config.l2_cache_kib) * 1024.0;
-    let l2_hit = (l2_bytes / (tex.miss_bytes + l2_bytes)) * 0.8;
-    let texture_bytes = tex.miss_bytes * (1.0 - l2_hit);
-
-    let shaded = draw.shaded_pixels();
-    let write_factor = if draw.blend.reads_destination() {
-        2.0
-    } else {
-        1.0
-    };
-    let color_bytes =
-        shaded * draw.render_target.bytes_per_pixel() * write_factor * COLOR_COMPRESSION;
-
-    let depth_bytes = match draw.depth {
-        DepthMode::Disabled => 0.0,
-        DepthMode::TestOnly => {
-            draw.coverage
-                * draw.render_target.pixels() as f64
-                * draw.overdraw
-                * 4.0
-                * DEPTH_COMPRESSION
-        }
-        DepthMode::TestAndWrite => {
-            // Read on every rasterised fragment, write on passing fragments.
-            let rasterised = draw.coverage * draw.render_target.pixels() as f64 * draw.overdraw;
-            (rasterised + shaded) * 4.0 * DEPTH_COMPRESSION
-        }
-    };
-
-    vertex_bytes + texture_bytes + color_bytes + depth_bytes
+    DramWork::new(draw, draw.shaded_pixels(), rasterised_pixels(draw)).bytes(config, tex)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Geometry stage: vertex fetch and vertex shading.
 
-use crate::analytic::shading::{instruction_cycles, occupancy_factor};
+use crate::analytic::shading::ShaderWork;
 use crate::config::ArchConfig;
 use subset3d_trace::{DrawCall, ShaderProgram};
 
@@ -8,16 +8,33 @@ use subset3d_trace::{DrawCall, ShaderProgram};
 /// gather, amortised by the post-transform cache).
 const FETCH_CYCLES_PER_VERTEX: f64 = 0.25;
 
+/// The config-independent half of the geometry stage: vertex-shading
+/// work and vertex-fetch cycles.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GeometryWork {
+    shading: ShaderWork,
+    fetch: f64,
+}
+
+impl GeometryWork {
+    pub(crate) fn new(draw: &DrawCall, vs: &ShaderProgram) -> Self {
+        let invocations = draw.vertex_invocations() as f64;
+        GeometryWork {
+            shading: ShaderWork::new(invocations, vs),
+            fetch: invocations * FETCH_CYCLES_PER_VERTEX,
+        }
+    }
+
+    /// The config half: machine core cycles of shading plus fetch.
+    pub(crate) fn cycles(&self, config: &ArchConfig) -> f64 {
+        self.shading.cycles(config) + self.fetch
+    }
+}
+
 /// Total machine core cycles for the geometry stage of a draw: vertex fetch
 /// plus vertex shading across all invocations.
 pub fn geometry_cycles(draw: &DrawCall, vs: &ShaderProgram, config: &ArchConfig) -> f64 {
-    let invocations = draw.vertex_invocations() as f64;
-    let per_invocation = instruction_cycles(&vs.mix, vs.divergence);
-    let lanes = f64::from(config.eu_count) * f64::from(config.simd_width);
-    let occ = occupancy_factor(vs.registers, config.register_file_per_thread);
-    let shading = invocations * per_invocation / (lanes * occ);
-    let fetch = invocations * FETCH_CYCLES_PER_VERTEX;
-    shading + fetch
+    GeometryWork::new(draw, vs).cycles(config)
 }
 
 #[cfg(test)]

@@ -13,6 +13,14 @@
 //! domains. Keeping the core and memory clocks separate is what gives
 //! frequency scaling its draw-dependent shape: compute-bound draws scale
 //! with the core clock, bandwidth-bound draws flatten.
+//!
+//! Every stage formula is split in two halves: a config-independent half
+//! that reads the draw, its shaders, the texture registry and the warmth
+//! context, and a config half that finishes the arithmetic on one
+//! [`ArchConfig`]. `PreparedDraw` holds the first halves of a draw so a
+//! design sweep computes them once and evaluates every candidate from
+//! them; [`analyze_draw`] and each public stage function are a prepare
+//! followed by one evaluation, so each formula exists once.
 
 mod dram;
 mod geometry;
@@ -30,7 +38,13 @@ pub use texture::{texture_hit_rate, texture_traffic, TextureTraffic};
 
 use crate::config::ArchConfig;
 use crate::cost::{DrawCost, Stage};
+use dram::DramWork;
+use geometry::GeometryWork;
+use raster::{rasterised_pixels, RasterWork};
+use rop::RopWork;
+use shading::ShaderWork;
 use subset3d_trace::{DrawCall, ShaderProgram, TextureRegistry};
+use texture::TextureWork;
 
 /// Residual core/memory contention factor of the bottleneck composition.
 const CONTENTION: f64 = 0.03;
@@ -49,53 +63,96 @@ pub fn analyze_draw(
     config: &ArchConfig,
     warmth: f64,
 ) -> DrawCost {
-    let geometry = geometry_cycles(draw, vs, config);
-    let raster = raster_cycles(draw, config);
-    let pixel = pixel_cycles(draw, ps, config);
-    let tex = texture_traffic(draw, ps, textures, config, warmth);
-    let rop = rop_cycles(draw, config);
-    let mem_bytes = dram_bytes(draw, vs, config, &tex);
+    PreparedDraw::new(draw, vs, ps, textures, warmth).evaluate(config)
+}
 
-    let overhead = config.draw_setup_cycles;
-    let stage_cycles = [
-        (Stage::Geometry, geometry),
-        (Stage::Raster, raster),
-        (Stage::PixelShade, pixel),
-        (Stage::Texture, tex.sample_cycles),
-        (Stage::Rop, rop),
-    ];
-    let (mut bottleneck, max_cycles) =
-        stage_cycles
-            .iter()
-            .copied()
-            .fold((Stage::Overhead, 0.0f64), |(bs, bc), (s, c)| {
-                if c > bc {
-                    (s, c)
-                } else {
-                    (bs, bc)
-                }
-            });
-    if overhead > max_cycles {
-        bottleneck = Stage::Overhead;
+/// One draw in one warmth context with every config-independent half of
+/// the model computed: evaluating it on a config gives exactly
+/// [`analyze_draw`]'s cost, bit for bit, without touching the draw, its
+/// shaders or the texture registry again.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PreparedDraw {
+    geometry: GeometryWork,
+    raster: RasterWork,
+    pixel: ShaderWork,
+    texture: TextureWork,
+    rop: RopWork,
+    dram: DramWork,
+}
+
+impl PreparedDraw {
+    /// Runs every stage's config-independent half once, reading the
+    /// texture registry in one walk.
+    pub(crate) fn new(
+        draw: &DrawCall,
+        vs: &ShaderProgram,
+        ps: &ShaderProgram,
+        textures: &TextureRegistry,
+        warmth: f64,
+    ) -> Self {
+        let shaded = draw.shaded_pixels();
+        let rasterised = rasterised_pixels(draw);
+        PreparedDraw {
+            geometry: GeometryWork::new(draw, vs),
+            raster: RasterWork::new(draw, rasterised),
+            pixel: ShaderWork::new(shaded, ps),
+            texture: TextureWork::new(draw, ps, textures, warmth, shaded),
+            rop: RopWork::new(draw, shaded, rasterised),
+            dram: DramWork::new(draw, shaded, rasterised),
+        }
     }
 
-    let core_time_ns = (max_cycles + overhead) * config.core_period_ns();
-    let mem_time_ns = mem_bytes / config.mem_bandwidth_bytes_per_ns();
-    if mem_time_ns > core_time_ns {
-        bottleneck = Stage::Memory;
-    }
-    let time_ns = core_time_ns.max(mem_time_ns) + CONTENTION * core_time_ns.min(mem_time_ns);
+    /// Runs every stage's config half on `config` and composes the
+    /// bottleneck.
+    pub(crate) fn evaluate(&self, config: &ArchConfig) -> DrawCost {
+        let geometry = self.geometry.cycles(config);
+        let raster = self.raster.cycles(config);
+        let pixel = self.pixel.cycles(config);
+        let tex = self.texture.traffic(config);
+        let rop = self.rop.cycles(config);
+        let mem_bytes = self.dram.bytes(config, &tex);
 
-    DrawCost {
-        geometry_cycles: geometry,
-        raster_cycles: raster,
-        pixel_cycles: pixel,
-        texture_cycles: tex.sample_cycles,
-        rop_cycles: rop,
-        overhead_cycles: overhead,
-        mem_bytes,
-        time_ns,
-        bottleneck,
+        let overhead = config.draw_setup_cycles;
+        let stage_cycles = [
+            (Stage::Geometry, geometry),
+            (Stage::Raster, raster),
+            (Stage::PixelShade, pixel),
+            (Stage::Texture, tex.sample_cycles),
+            (Stage::Rop, rop),
+        ];
+        let (mut bottleneck, max_cycles) =
+            stage_cycles
+                .iter()
+                .copied()
+                .fold((Stage::Overhead, 0.0f64), |(bs, bc), (s, c)| {
+                    if c > bc {
+                        (s, c)
+                    } else {
+                        (bs, bc)
+                    }
+                });
+        if overhead > max_cycles {
+            bottleneck = Stage::Overhead;
+        }
+
+        let core_time_ns = (max_cycles + overhead) * config.core_period_ns();
+        let mem_time_ns = mem_bytes / config.mem_bandwidth_bytes_per_ns();
+        if mem_time_ns > core_time_ns {
+            bottleneck = Stage::Memory;
+        }
+        let time_ns = core_time_ns.max(mem_time_ns) + CONTENTION * core_time_ns.min(mem_time_ns);
+
+        DrawCost {
+            geometry_cycles: geometry,
+            raster_cycles: raster,
+            pixel_cycles: pixel,
+            texture_cycles: tex.sample_cycles,
+            rop_cycles: rop,
+            overhead_cycles: overhead,
+            mem_bytes,
+            time_ns,
+            bottleneck,
+        }
     }
 }
 

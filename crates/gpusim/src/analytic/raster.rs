@@ -10,23 +10,50 @@ const EFFICIENT_AREA_PX: f64 = 16.0;
 /// Minimum rasteriser efficiency for degenerate, sub-pixel triangles.
 const MIN_EFFICIENCY: f64 = 0.125;
 
+/// Pixels touched by the rasteriser: covered area × overdraw, before the
+/// early-Z test rejects fragments. The raster, ROP and DRAM stages all
+/// read it.
+pub(crate) fn rasterised_pixels(draw: &DrawCall) -> f64 {
+    draw.coverage * draw.render_target.pixels() as f64 * draw.overdraw
+}
+
+/// The config-independent half of the raster stage: surviving
+/// primitives, rasterised pixels and the small-triangle efficiency.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RasterWork {
+    prims: f64,
+    pixels: f64,
+    efficiency: f64,
+}
+
+impl RasterWork {
+    /// `rasterised` is [`rasterised_pixels`] of `draw`.
+    pub(crate) fn new(draw: &DrawCall, rasterised: f64) -> Self {
+        RasterWork {
+            prims: draw.primitives() as f64 * draw.cull.survival_rate(),
+            pixels: rasterised,
+            efficiency: (draw.avg_primitive_area() / EFFICIENT_AREA_PX).clamp(MIN_EFFICIENCY, 1.0),
+        }
+    }
+
+    /// The config half: the max of setup-limited and fill-limited cycles.
+    pub(crate) fn cycles(&self, config: &ArchConfig) -> f64 {
+        if self.prims <= 0.0 {
+            return 0.0;
+        }
+        let setup = self.prims / config.prim_rate;
+        let fill = self.pixels / (f64::from(config.raster_rate) * self.efficiency);
+        setup.max(fill)
+    }
+}
+
 /// Total machine core cycles for triangle setup + rasterisation of a draw.
 ///
 /// The stage cost is the max of setup-limited and fill-limited throughput;
 /// small triangles derate the fill rate (the classic small-triangle
 /// problem).
 pub fn raster_cycles(draw: &DrawCall, config: &ArchConfig) -> f64 {
-    let prims = draw.primitives() as f64 * draw.cull.survival_rate();
-    if prims <= 0.0 {
-        return 0.0;
-    }
-    let setup = prims / config.prim_rate;
-    // Pixels touched by the rasteriser: covered area × overdraw, before the
-    // early-Z test rejects fragments.
-    let raster_pixels = draw.coverage * draw.render_target.pixels() as f64 * draw.overdraw;
-    let efficiency = (draw.avg_primitive_area() / EFFICIENT_AREA_PX).clamp(MIN_EFFICIENCY, 1.0);
-    let fill = raster_pixels / (f64::from(config.raster_rate) * efficiency);
-    setup.max(fill)
+    RasterWork::new(draw, rasterised_pixels(draw)).cycles(config)
 }
 
 #[cfg(test)]

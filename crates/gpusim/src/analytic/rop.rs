@@ -1,7 +1,42 @@
 //! ROP stage: blend, depth test and render-target writes.
 
+use crate::analytic::raster::rasterised_pixels;
 use crate::config::ArchConfig;
 use subset3d_trace::DrawCall;
+
+/// The config-independent half of the ROP stage: the draw's ROP
+/// operation count.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RopWork {
+    ops: f64,
+}
+
+impl RopWork {
+    /// Blending modes that read the destination cost two ROP operations
+    /// per shaded pixel; depth-enabled draws add one depth test per
+    /// `rasterised` fragment (early-Z runs before shading).
+    pub(crate) fn new(draw: &DrawCall, shaded: f64, rasterised: f64) -> Self {
+        let color_ops = shaded
+            * if draw.blend.reads_destination() {
+                2.0
+            } else {
+                1.0
+            };
+        let depth_ops = if draw.depth.accesses_depth() {
+            rasterised
+        } else {
+            0.0
+        };
+        RopWork {
+            ops: color_ops + depth_ops,
+        }
+    }
+
+    /// The config half: the operations at the machine's ROP rate.
+    pub(crate) fn cycles(&self, config: &ArchConfig) -> f64 {
+        self.ops / f64::from(config.rop_rate)
+    }
+}
 
 /// Total machine core cycles for the render-output stage of a draw.
 ///
@@ -9,19 +44,7 @@ use subset3d_trace::DrawCall;
 /// shaded pixel; depth-enabled draws additionally pay depth-test throughput
 /// on every rasterised fragment (early-Z runs before shading).
 pub fn rop_cycles(draw: &DrawCall, config: &ArchConfig) -> f64 {
-    let shaded = draw.shaded_pixels();
-    let color_ops = shaded
-        * if draw.blend.reads_destination() {
-            2.0
-        } else {
-            1.0
-        };
-    let depth_ops = if draw.depth.accesses_depth() {
-        draw.coverage * draw.render_target.pixels() as f64 * draw.overdraw
-    } else {
-        0.0
-    };
-    (color_ops + depth_ops) / f64::from(config.rop_rate)
+    RopWork::new(draw, draw.shaded_pixels(), rasterised_pixels(draw)).cycles(config)
 }
 
 #[cfg(test)]

@@ -29,13 +29,36 @@ pub fn occupancy_factor(registers: u32, register_file: u32) -> f64 {
     0.55 + 0.45 * hiding
 }
 
+/// The config-independent half of a shader stage: the lane cycles of
+/// every invocation (see [`instruction_cycles`]), and the register count
+/// that sets occupancy on a given machine.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShaderWork {
+    lane_cycles: f64,
+    registers: u32,
+}
+
+impl ShaderWork {
+    /// `invocations` runs of `shader`.
+    pub(crate) fn new(invocations: f64, shader: &ShaderProgram) -> Self {
+        ShaderWork {
+            lane_cycles: invocations * instruction_cycles(&shader.mix, shader.divergence),
+            registers: shader.registers,
+        }
+    }
+
+    /// The config half: total machine core cycles, the work spread over
+    /// every lane at the occupancy the register file allows.
+    pub(crate) fn cycles(&self, config: &ArchConfig) -> f64 {
+        let lanes = f64::from(config.eu_count) * f64::from(config.simd_width);
+        let occ = occupancy_factor(self.registers, config.register_file_per_thread);
+        self.lane_cycles / (lanes * occ)
+    }
+}
+
 /// Total machine core cycles to pixel-shade a draw.
 pub fn pixel_cycles(draw: &DrawCall, ps: &ShaderProgram, config: &ArchConfig) -> f64 {
-    let invocations = draw.shaded_pixels();
-    let per_invocation = instruction_cycles(&ps.mix, ps.divergence);
-    let lanes = f64::from(config.eu_count) * f64::from(config.simd_width);
-    let occ = occupancy_factor(ps.registers, config.register_file_per_thread);
-    invocations * per_invocation / (lanes * occ)
+    ShaderWork::new(draw.shaded_pixels(), ps).cycles(config)
 }
 
 #[cfg(test)]

@@ -31,7 +31,18 @@ pub fn texture_hit_rate(
     config: &ArchConfig,
     warmth: f64,
 ) -> f64 {
-    let footprint = textures.combined_footprint(&draw.textures);
+    let (footprint, _) = bound_textures(draw, textures);
+    hit_rate(
+        footprint,
+        draw.texel_locality,
+        warmth.clamp(0.0, 1.0),
+        config,
+    )
+}
+
+/// The config half of [`texture_hit_rate`], over its config-independent
+/// inputs (`warmth` already clamped to `0.0..=1.0`).
+fn hit_rate(footprint: f64, locality: f64, warmth: f64, config: &ArchConfig) -> f64 {
     if footprint <= 0.0 {
         return 1.0;
     }
@@ -39,8 +50,8 @@ pub fn texture_hit_rate(
     let residency = (cache_bytes / footprint).min(1.0).sqrt();
     // Bilinear filtering alone guarantees substantial line reuse, so the
     // hit rate has a floor; locality and residency recover the rest.
-    let base = 0.5 + 0.5 * draw.texel_locality * (0.5 + 0.5 * residency);
-    let warm = base + (1.0 - base) * WARMTH_RECOVERY * warmth.clamp(0.0, 1.0);
+    let base = 0.5 + 0.5 * locality * (0.5 + 0.5 * residency);
+    let warm = base + (1.0 - base) * WARMTH_RECOVERY * warmth;
     warm.clamp(0.0, 1.0)
 }
 
@@ -52,54 +63,109 @@ pub fn texture_traffic(
     config: &ArchConfig,
     warmth: f64,
 ) -> TextureTraffic {
-    let samples = draw.shaded_pixels() * f64::from(ps.mix.texture_samples);
-    if samples <= 0.0 {
-        return TextureTraffic {
-            sample_cycles: 0.0,
-            miss_bytes: 0.0,
-            hit_rate: 1.0,
-        };
+    TextureWork::new(draw, ps, textures, warmth, draw.shaded_pixels()).traffic(config)
+}
+
+/// The config-independent half of the texture stage: the samples taken,
+/// the bound footprint, and the compression and compulsory-traffic
+/// terms the miss bytes are scaled and capped by.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TextureWork {
+    samples: f64,
+    footprint: f64,
+    locality: f64,
+    /// Cross-draw warmth, clamped to `0.0..=1.0`.
+    warmth: f64,
+    compression: f64,
+    /// Unique bytes touched × the re-fetch factor: the cap on miss bytes.
+    refetched_bytes: f64,
+}
+
+impl TextureWork {
+    /// `shaded` is the draw's shaded pixel count. A draw that takes no
+    /// samples never reads the registry.
+    pub(crate) fn new(
+        draw: &DrawCall,
+        ps: &ShaderProgram,
+        textures: &TextureRegistry,
+        warmth: f64,
+        shaded: f64,
+    ) -> Self {
+        let samples = shaded * f64::from(ps.mix.texture_samples);
+        let warmth = warmth.clamp(0.0, 1.0);
+        if samples <= 0.0 {
+            return TextureWork {
+                samples,
+                footprint: 0.0,
+                locality: draw.texel_locality,
+                warmth,
+                compression: 0.0,
+                refetched_bytes: 0.0,
+            };
+        }
+        let (footprint, avg_bpt) = bound_textures(draw, textures);
+        // Compressed formats move fewer bytes per miss.
+        let compression = (avg_bpt / 4.0).clamp(0.125, 2.0);
+        // Miss traffic cannot exceed the unique data the draw touches (mip
+        // selection matches texel to pixel density, so unique texels ≈
+        // shaded pixels per bound texture), modestly re-fetched when
+        // locality is poor.
+        let unique_bytes = (shaded * draw.textures.len() as f64 * avg_bpt).min(footprint);
+        // Warm data was already fetched by recent draws, shrinking this
+        // draw's compulsory traffic too.
+        let refetch = (1.0 + (1.0 - draw.texel_locality)) * (1.0 - WARMTH_RECOVERY * warmth);
+        TextureWork {
+            samples,
+            footprint,
+            locality: draw.texel_locality,
+            warmth,
+            compression,
+            refetched_bytes: unique_bytes * refetch,
+        }
     }
-    let hit_rate = texture_hit_rate(draw, textures, config, warmth);
-    let miss_rate = 1.0 - hit_rate;
-    // Compressed formats move fewer bytes per miss.
-    let avg_bpt = average_bytes_per_texel(draw, textures);
-    let compression = (avg_bpt / 4.0).clamp(0.125, 2.0);
-    let raw_miss_bytes = samples * miss_rate * BYTES_PER_MISS * compression;
-    // Miss traffic cannot exceed the unique data the draw touches (mip
-    // selection matches texel to pixel density, so unique texels ≈ shaded
-    // pixels per bound texture), modestly re-fetched when locality is poor.
-    let unique_bytes = (draw.shaded_pixels() * draw.textures.len() as f64 * avg_bpt)
-        .min(textures.combined_footprint(&draw.textures));
-    // Warm data was already fetched by recent draws, shrinking this draw's
-    // compulsory traffic too.
-    let refetch =
-        (1.0 + (1.0 - draw.texel_locality)) * (1.0 - WARMTH_RECOVERY * warmth.clamp(0.0, 1.0));
-    let miss_bytes = raw_miss_bytes.min(unique_bytes * refetch);
-    // Filtering throughput, derated when misses stall the pipeline.
-    let sample_cycles = samples / f64::from(config.tex_rate) * (1.0 + 0.3 * miss_rate);
-    TextureTraffic {
-        sample_cycles,
-        miss_bytes,
-        hit_rate,
+
+    /// The config half: hit rate, miss bytes and sampling cycles on
+    /// `config`'s texture cache and samplers.
+    pub(crate) fn traffic(&self, config: &ArchConfig) -> TextureTraffic {
+        if self.samples <= 0.0 {
+            return TextureTraffic {
+                sample_cycles: 0.0,
+                miss_bytes: 0.0,
+                hit_rate: 1.0,
+            };
+        }
+        let hit_rate = hit_rate(self.footprint, self.locality, self.warmth, config);
+        let miss_rate = 1.0 - hit_rate;
+        let raw_miss_bytes = self.samples * miss_rate * BYTES_PER_MISS * self.compression;
+        let miss_bytes = raw_miss_bytes.min(self.refetched_bytes);
+        // Filtering throughput, derated when misses stall the pipeline.
+        let sample_cycles = self.samples / f64::from(config.tex_rate) * (1.0 + 0.3 * miss_rate);
+        TextureTraffic {
+            sample_cycles,
+            miss_bytes,
+            hit_rate,
+        }
     }
 }
 
-/// Mean bytes-per-texel of the draw's bound textures (4.0 when unbound).
-fn average_bytes_per_texel(draw: &DrawCall, textures: &TextureRegistry) -> f64 {
-    let mut total = 0.0;
+/// Combined footprint and mean bytes-per-texel (4.0 when none resolve) of
+/// the draw's bound textures, in one registry walk. The footprint is
+/// [`TextureRegistry::combined_footprint`]'s sum, term for term.
+fn bound_textures(draw: &DrawCall, textures: &TextureRegistry) -> (f64, f64) {
+    let mut bpt_total = 0.0;
     let mut n = 0usize;
-    for id in &draw.textures {
-        if let Some(t) = textures.get(*id) {
-            total += t.format.bytes_per_texel();
+    let footprint: f64 = draw
+        .textures
+        .iter()
+        .filter_map(|id| textures.get(*id))
+        .map(|t| {
+            bpt_total += t.format.bytes_per_texel();
             n += 1;
-        }
-    }
-    if n == 0 {
-        4.0
-    } else {
-        total / n as f64
-    }
+            t.footprint_bytes()
+        })
+        .sum();
+    let avg_bpt = if n == 0 { 4.0 } else { bpt_total / n as f64 };
+    (footprint, avg_bpt)
 }
 
 #[cfg(test)]

@@ -93,7 +93,7 @@ pub struct FrameCost {
 impl FrameCost {
     /// Builds a frame cost from draw costs, accumulating the total.
     pub fn from_draws(draws: Vec<DrawCost>) -> Self {
-        let total_ns = subset3d_stats::sum(&draws.iter().map(|d| d.time_ns).collect::<Vec<_>>());
+        let total_ns = subset3d_stats::sum_iter(draws.iter().map(|d| d.time_ns));
         FrameCost { draws, total_ns }
     }
 
@@ -115,7 +115,7 @@ pub struct WorkloadCost {
 impl WorkloadCost {
     /// Builds a workload cost from frame costs, accumulating the total.
     pub fn from_frames(frames: Vec<FrameCost>) -> Self {
-        let total_ns = subset3d_stats::sum(&frames.iter().map(|f| f.total_ns).collect::<Vec<_>>());
+        let total_ns = subset3d_stats::sum_iter(frames.iter().map(|f| f.total_ns));
         WorkloadCost { frames, total_ns }
     }
 

@@ -11,8 +11,12 @@
 //! subset on every candidate design — is served at **batch** grain: the
 //! simulator evaluates draws in fixed-width batches, and
 //! [`CacheMode::On`] retains each batch's costs under a [`BatchKey`]. A
-//! warm pass probes once per batch (not once per draw) and copies the
-//! whole cost slice out, skipping the per-draw model entirely.
+//! warm pass probes once per batch (not once per draw), skipping the
+//! per-draw model entirely: `Simulator::simulate_workload` copies the
+//! whole cost slice out, while a sweep (`SweepSession`) digests each
+//! batch's key once for all its candidates, probes every candidate's
+//! own cache with it, and reads only the draw times, under the read
+//! lock, with no copy of the slice.
 //!
 //! Each draw contributes a 128-bit **shape digest** to its batch's key —
 //! two independent 64-bit FNV-1a streams folded over the exact bit
@@ -200,10 +204,11 @@ impl CacheStats {
 /// Thread-safe memo table from [`BatchKey`] to a batch's draw costs.
 ///
 /// One entry per distinct batch per architecture configuration; a warm
-/// re-simulation pass probes once per batch and copies the cost slice
-/// out, skipping the per-draw model entirely. Shared by every worker
-/// simulating on one `Simulator`; consulted only in [`CacheMode::On`],
-/// and cleared by the owner when the config changes.
+/// re-simulation pass probes once per batch and reads the cost slice in
+/// place, skipping the per-draw model entirely. Shared by every worker
+/// simulating on one `Simulator` (or one sweep candidate); consulted
+/// only in [`CacheMode::On`], and cleared by the owner when the config
+/// changes.
 pub(crate) struct BatchCostCache {
     map: RwLock<HashMap<BatchKey, Box<[DrawCost]>, BuildHasherDefault<PassThroughHasher>>>,
     hits: AtomicU64,
@@ -219,28 +224,28 @@ impl BatchCostCache {
         }
     }
 
-    /// The retained costs of the batch `key` describes, if any.
-    #[allow(unused_mut)]
-    pub(crate) fn get(&self, key: &BatchKey) -> Option<Vec<DrawCost>> {
-        let hit = self.map.read().get(key).map(|costs| costs.to_vec());
-        match hit {
-            Some(mut costs) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                OBS_BATCH_HITS.incr();
-                subset3d_obs::trace_instant("gpusim", "batch_cache.hit");
-                #[cfg(feature = "fault-injection")]
-                for c in &mut costs {
-                    *c = crate::fault::corrupt_hit(*c);
-                }
-                Some(costs)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                OBS_BATCH_MISSES.incr();
-                subset3d_obs::trace_instant("gpusim", "batch_cache.miss");
-                None
-            }
+    /// Probes for the batch `key` describes. On a hit, `read` sees the
+    /// retained costs under the read lock and its result is returned, so
+    /// a caller that keeps only the draw times copies nothing else.
+    pub(crate) fn get<R>(&self, key: &BatchKey, read: impl FnOnce(&[DrawCost]) -> R) -> Option<R> {
+        let served = self.map.read().get(key).map(|costs| {
+            #[cfg(feature = "fault-injection")]
+            let costs: &[DrawCost] = &costs
+                .iter()
+                .map(|c| crate::fault::corrupt_hit(*c))
+                .collect::<Vec<_>>();
+            read(costs)
+        });
+        if served.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            OBS_BATCH_HITS.incr();
+            subset3d_obs::trace_instant("gpusim", "batch_cache.hit");
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            OBS_BATCH_MISSES.incr();
+            subset3d_obs::trace_instant("gpusim", "batch_cache.miss");
         }
+        served
     }
 
     /// Retains a freshly evaluated batch's costs. Racing inserts of the
@@ -384,9 +389,9 @@ mod tests {
         let costs = vec![compute(), compute()];
         let cache = BatchCostCache::new();
         let key = BatchKey::of([a, b]);
-        assert!(cache.get(&key).is_none());
+        assert!(cache.get(&key, <[DrawCost]>::to_vec).is_none());
         cache.insert(key, &costs);
-        assert_eq!(cache.get(&key).unwrap(), costs);
+        assert_eq!(cache.get(&key, <[DrawCost]>::to_vec).unwrap(), costs);
         assert_eq!(
             cache.stats(),
             CacheStats {

@@ -7,12 +7,18 @@
 //! directly — shader resolution through a dense per-pass table, warmth
 //! from the texture pool, and (in [`CacheMode::On`]) shape digests
 //! straight off the column words — and materialises an AoS [`DrawCall`]
-//! only where `analyze_draw` (which is struct-at-a-time and shared with
-//! the reference model) actually runs. Batches are also the unit of
-//! parallel fan-out and of batch-grain memoization (see
+//! only for a batch the model actually runs on, to prepare its
+//! config-independent half once (`PreparedDraw`). Batches are also the
+//! unit of parallel fan-out and of batch-grain memoization (see
 //! [`crate::memo`]).
+//!
+//! One walk serves one config or many: [`Simulator::simulate_workload`]
+//! keeps every draw's full cost, while the sweep walk behind
+//! [`crate::SweepSession`], [`crate::sweep_configs`] and
+//! [`crate::sweep_frequencies`] evaluates every candidate from the same
+//! batch inputs and keeps only draw times.
 
-use crate::analytic::analyze_draw;
+use crate::analytic::{analyze_draw, PreparedDraw};
 use crate::config::ArchConfig;
 use crate::cost::{DrawCost, FrameCost, WorkloadCost};
 use crate::error::SimError;
@@ -20,8 +26,11 @@ use crate::memo::{
     BatchCostCache, BatchKey, CacheMode, CacheStats, DrawShape, RegistryFingerprint, ShapeHasher,
 };
 use std::borrow::Borrow;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use subset3d_trace::{DrawCall, DrawColumns, DrawId, Frame, ShaderId, ShaderProgram, Workload};
+use subset3d_trace::{
+    DrawCall, DrawColumns, DrawId, Frame, ShaderId, ShaderProgram, TextureRegistry, Workload,
+};
 
 /// How many preceding draws contribute to texture-cache warmth.
 const WARMTH_WINDOW: usize = 6;
@@ -228,103 +237,42 @@ impl<C: Borrow<ArchConfig>> Simulator<C> {
         workload: &Workload,
     ) -> Result<FrameCost, SimError> {
         let ctx = ShaderCtx::build(workload);
-        let registry = self.registry_if_memoizing(workload);
-        self.frame_with_ctx(frame, workload, &ctx, registry)
-    }
-
-    /// The workload's registry fingerprint in [`CacheMode::On`] — the
-    /// per-pass half of every batch key — and `None` in `Off`, where no
-    /// key is ever digested. Read once per pass, so a mode switch takes
-    /// effect at the next pass, never halfway through one.
-    fn registry_if_memoizing(&self, workload: &Workload) -> Option<RegistryFingerprint> {
-        self.memoize
-            .load(Ordering::Relaxed)
-            .then(|| RegistryFingerprint::of(workload.textures()))
-    }
-
-    /// [`Simulator::simulate_frame`] with the per-pass context (dense
-    /// shader table, registry fingerprint) already built — once per
-    /// pass, not once per frame.
-    fn frame_with_ctx(
-        &self,
-        frame: &Frame,
-        workload: &Workload,
-        ctx: &ShaderCtx<'_>,
-        registry: Option<RegistryFingerprint>,
-    ) -> Result<FrameCost, SimError> {
+        let registry = self
+            .memoizing()
+            .then(|| RegistryFingerprint::of(workload.textures()));
         let cols = frame.columns();
-        let width = self.batch_width();
         let mut draws = Vec::with_capacity(cols.len());
-        let mut start = 0;
-        while start < cols.len() {
-            let end = (start + width).min(cols.len());
-            draws.extend(self.simulate_batch(cols, workload, ctx, registry, start, end)?);
-            start = end;
+        for (start, end) in batch_bounds(cols.len(), self.batch_width()) {
+            let batch = Batch::new(cols, workload, &ctx, registry, start, end)?;
+            draws.extend(self.simulate_batch(&batch));
         }
         Ok(FrameCost::from_draws(draws))
     }
 
-    /// Simulates the draws `start..end` of one frame's columns — the
-    /// fixed-width batch at the heart of the hot path.
-    ///
-    /// Shader resolution for the whole range comes first, so dangling
-    /// references are reported identically whether or not the cache
-    /// would have served the content. With a `registry` fingerprint
-    /// ([`CacheMode::On`]) the batch's shape digests are folded into a
-    /// [`BatchKey`] and the batch cache probed once; a hit returns the
-    /// whole cost slice, a miss computes every draw and retains the
-    /// result. Without one (`Off`) the batch computes directly, with no
-    /// digest or probe work at all.
-    fn simulate_batch(
-        &self,
-        cols: &DrawColumns,
-        workload: &Workload,
-        ctx: &ShaderCtx<'_>,
-        registry: Option<RegistryFingerprint>,
-        start: usize,
-        end: usize,
-    ) -> Result<Vec<DrawCost>, SimError> {
-        let ids = cols.ids();
-        let vs_ids = cols.vertex_shaders();
-        let ps_ids = cols.pixel_shaders();
-        let mut resolved = Vec::with_capacity(end - start);
-        for i in start..end {
-            let vs = ctx.resolve(ids[i], vs_ids[i])?;
-            let ps = ctx.resolve(ids[i], ps_ids[i])?;
-            resolved.push((vs, ps));
-        }
-        let warmths: Vec<f64> = (start..end).map(|i| warmth_at(cols, i)).collect();
+    /// Whether this pass memoizes ([`CacheMode::On`]). Read once per
+    /// pass, so a mode switch takes effect at the next pass, never
+    /// halfway through one.
+    fn memoizing(&self) -> bool {
+        self.memoize.load(Ordering::Relaxed)
+    }
 
-        let key = registry.map(|registry| {
-            BatchKey::of((start..end).map(|i| {
-                let (vs, ps) = &resolved[i - start];
-                shape_at(cols, i, &vs.pack, &ps.pack, registry, warmths[i - start])
-            }))
-        });
-        if let Some(key) = &key {
-            if let Some(costs) = self.batches.get(key) {
-                return Ok(costs);
+    /// Costs one batch on this simulator's config — the one-config step
+    /// of the hot path. With a key ([`CacheMode::On`]) the batch cache is
+    /// probed once; a hit copies the whole cost slice out, a miss
+    /// prepares and evaluates every draw and retains the result. Without
+    /// one (`Off`) the batch computes directly, with no probe at all.
+    fn simulate_batch(&self, batch: &Batch<'_, '_>) -> Vec<DrawCost> {
+        if let Some(key) = &batch.key {
+            if let Some(costs) = self.batches.get(key, <[DrawCost]>::to_vec) {
+                return costs;
             }
         }
-
-        let costs: Vec<DrawCost> = (start..end)
-            .zip(&resolved)
-            .zip(&warmths)
-            .map(|((i, (vs, ps)), &warmth)| {
-                analyze_draw(
-                    &cols.get(i).expect("batch index in range"),
-                    vs.program,
-                    ps.program,
-                    workload.textures(),
-                    self.config.borrow(),
-                    warmth,
-                )
-            })
-            .collect();
-        if let Some(key) = key {
+        let config = self.config();
+        let costs: Vec<DrawCost> = batch.prepare().iter().map(|d| d.evaluate(config)).collect();
+        if let Some(key) = batch.key {
             self.batches.insert(key, &costs);
         }
-        Ok(costs)
+        costs
     }
 
     /// Simulates a whole workload batch by batch.
@@ -352,55 +300,248 @@ impl<C: Borrow<ArchConfig>> Simulator<C> {
             "frames",
             frames.len() as u64,
         );
-        let ctx = ShaderCtx::build(workload);
-        let registry = self.registry_if_memoizing(workload);
-        // Below ~1000 draws scheduling overhead outweighs the work.
-        if subset3d_exec::thread_count() < 2 || workload.total_draws() < 1000 {
-            let mut costs = Vec::with_capacity(frames.len());
-            for frame in frames {
-                costs.push(self.frame_with_ctx(frame, workload, &ctx, registry)?);
+        let (list, costs) = walk(workload, self.batch_width(), self.memoizing(), |batch| {
+            self.simulate_batch(batch)
+        })?;
+        Ok(WorkloadCost::from_frames(
+            frames
+                .iter()
+                .zip(&list.frames)
+                .map(|(frame, range)| {
+                    let mut draws = Vec::with_capacity(frame.draw_count());
+                    for batch in &costs[range.clone()] {
+                        draws.extend_from_slice(batch);
+                    }
+                    FrameCost::from_draws(draws)
+                })
+                .collect(),
+        ))
+    }
+}
+
+/// Simulates `workload` on every simulator of `sims` in one walk over its
+/// batches, returning each simulator's total time in order — bit for bit
+/// its own `simulate_workload(workload)?.total_ns`.
+///
+/// Each batch's shaders, warmths and key are computed once for every
+/// candidate. A memoizing candidate probes its own batch cache (same
+/// key, values and counters as [`Simulator::simulate_workload`]); the
+/// batch's draws are materialised and prepared at most once, and only if
+/// some candidate missed, then evaluated on each config that needs them.
+/// Only draw times leave a batch: each candidate's frame totals are
+/// Kahan-summed in draw order across batches and its workload total over
+/// frames in trace order, exactly the operations of
+/// [`FrameCost::from_draws`] and [`WorkloadCost::from_frames`]. Batches
+/// use [`DEFAULT_BATCH_WIDTH`], the width every sweep's simulators have.
+///
+/// # Errors
+///
+/// Returns [`SimError::UnknownShader`] of the first failing batch in
+/// trace order.
+pub(crate) fn sweep_totals<C: Borrow<ArchConfig> + Sync>(
+    sims: &[Simulator<C>],
+    workload: &Workload,
+) -> Result<Vec<f64>, SimError> {
+    if sims.is_empty() {
+        return Ok(Vec::new());
+    }
+    let _t = subset3d_obs::trace_span_arg("gpusim", "sweep", "candidates", sims.len() as u64);
+    let candidates: Vec<(&ArchConfig, Option<&BatchCostCache>)> = sims
+        .iter()
+        .map(|sim| (sim.config(), sim.memoizing().then_some(&sim.batches)))
+        .collect();
+    let memoize = candidates.iter().any(|(_, cache)| cache.is_some());
+    let (list, times) = walk(workload, DEFAULT_BATCH_WIDTH, memoize, |batch| {
+        sweep_batch(batch, &candidates)
+    })?;
+    let n = candidates.len();
+    Ok((0..n)
+        .map(|c| {
+            subset3d_stats::sum_iter(list.frames.iter().map(|range| {
+                // A batch's times are candidate-major: `c`'s run is the
+                // `c`-th of `n` equal runs.
+                subset3d_stats::sum_iter(times[range.clone()].iter().flat_map(|batch| {
+                    let len = batch.len() / n;
+                    batch[c * len..(c + 1) * len].iter().copied()
+                }))
+            }))
+        })
+        .collect())
+}
+
+/// Costs one batch on every candidate — the N-config step of the sweep
+/// walk — returning the draw times candidate-major.
+fn sweep_batch(
+    batch: &Batch<'_, '_>,
+    candidates: &[(&ArchConfig, Option<&BatchCostCache>)],
+) -> Vec<f64> {
+    let mut times = Vec::with_capacity(batch.warmths.len() * candidates.len());
+    let mut prepared: Option<Vec<PreparedDraw>> = None;
+    for &(config, cache) in candidates {
+        let cache = cache.zip(batch.key.as_ref());
+        if let Some((cache, key)) = cache {
+            let hit = cache.get(key, |costs| {
+                times.extend(costs.iter().map(|c| c.time_ns));
+            });
+            if hit.is_some() {
+                continue;
             }
-            return Ok(WorkloadCost::from_frames(costs));
         }
-        let width = self.batch_width();
-        let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
+        let prepared = prepared.get_or_insert_with(|| batch.prepare());
+        match cache {
+            Some((cache, key)) => {
+                let costs: Vec<DrawCost> = prepared.iter().map(|d| d.evaluate(config)).collect();
+                times.extend(costs.iter().map(|c| c.time_ns));
+                cache.insert(*key, &costs);
+            }
+            None => times.extend(prepared.iter().map(|d| d.evaluate(config).time_ns)),
+        }
+    }
+    times
+}
+
+/// The `(frame, start, end)` batches of a workload in trace order, and
+/// each frame's range of them (empty for an empty frame).
+struct BatchList {
+    batches: Vec<(usize, usize, usize)>,
+    frames: Vec<Range<usize>>,
+}
+
+impl BatchList {
+    fn new(frames: &[Frame], width: usize) -> Self {
+        let mut batches = Vec::new();
+        let mut ranges = Vec::with_capacity(frames.len());
         for (frame_index, frame) in frames.iter().enumerate() {
-            let n = frame.draw_count();
-            let mut start = 0;
-            while start < n {
-                let end = (start + width).min(n);
-                tasks.push((frame_index, start, end));
-                start = end;
-            }
+            let first = batches.len();
+            batches.extend(
+                batch_bounds(frame.draw_count(), width)
+                    .map(|(start, end)| (frame_index, start, end)),
+            );
+            ranges.push(first..batches.len());
         }
+        BatchList {
+            batches,
+            frames: ranges,
+        }
+    }
+}
+
+/// The `start..end` bounds of `len` draws in batches of `width`.
+fn batch_bounds(len: usize, width: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..len)
+        .step_by(width)
+        .map(move |start| (start, (start + width).min(len)))
+}
+
+/// Walks `workload` in fixed-width batches: builds the per-pass shader
+/// table, the batch list and — when memoizing — the registry
+/// fingerprint once, computes each batch's shared inputs (keyed when
+/// memoizing) and hands them to `visit`, returning the list and every
+/// batch's result in trace order.
+///
+/// Batches are independent, so a workload of 1000 draws or more fans out
+/// over the shared [`subset3d_exec`] pool in chunks whenever it has two
+/// or more threads; results are bit-identical to the sequential pass at
+/// any thread count.
+///
+/// # Errors
+///
+/// Returns the [`SimError::UnknownShader`] of the first failing batch in
+/// trace order.
+fn walk<R: Send>(
+    workload: &Workload,
+    width: usize,
+    memoize: bool,
+    visit: impl Fn(&Batch<'_, '_>) -> R + Sync,
+) -> Result<(BatchList, Vec<R>), SimError> {
+    let frames = workload.frames();
+    let ctx = ShaderCtx::build(workload);
+    let registry = memoize.then(|| RegistryFingerprint::of(workload.textures()));
+    let list = BatchList::new(frames, width);
+    let run = |&(frame_index, start, end): &(usize, usize, usize)| {
+        let cols = frames[frame_index].columns();
+        Batch::new(cols, workload, &ctx, registry, start, end).map(|batch| visit(&batch))
+    };
+    // Below ~1000 draws scheduling overhead outweighs the work.
+    let results = if subset3d_exec::thread_count() < 2 || workload.total_draws() < 1000 {
+        list.batches
+            .iter()
+            .map(run)
+            .collect::<Result<Vec<R>, SimError>>()?
+    } else {
         // Batches are uniform and cheap; claiming a handful at a time
         // keeps the pool's shared counter off the hot path while still
         // load-balancing across workers.
-        let chunk = (tasks.len() / (subset3d_exec::thread_count() * 4)).clamp(1, 8);
-        let results =
-            subset3d_exec::par_map_chunked(&tasks, chunk, |_, &(frame_index, start, end)| {
-                self.simulate_batch(
-                    frames[frame_index].columns(),
-                    workload,
-                    &ctx,
-                    registry,
-                    start,
-                    end,
-                )
-            });
-        // Tasks were generated in draw order, so concatenating results
-        // in task order reassembles every frame exactly as the
-        // sequential path would.
-        let mut per_frame: Vec<Vec<DrawCost>> = frames
-            .iter()
-            .map(|f| Vec::with_capacity(f.draw_count()))
-            .collect();
-        for (&(frame_index, _, _), result) in tasks.iter().zip(results) {
-            per_frame[frame_index].extend(result?);
+        let chunk = (list.batches.len() / (subset3d_exec::thread_count() * 4)).clamp(1, 8);
+        subset3d_exec::par_map_chunked(&list.batches, chunk, |_, batch| run(batch))
+            .into_iter()
+            .collect::<Result<Vec<R>, SimError>>()?
+    };
+    Ok((list, results))
+}
+
+/// The config-independent inputs of the draws `start..end` of one frame:
+/// resolved shaders, warmths and — when memoizing — the batch key,
+/// computed once however many configs then cost the batch.
+struct Batch<'a, 'w> {
+    cols: &'a DrawColumns,
+    textures: &'w TextureRegistry,
+    start: usize,
+    shaders: Vec<(&'a ResolvedShader<'w>, &'a ResolvedShader<'w>)>,
+    warmths: Vec<f64>,
+    key: Option<BatchKey>,
+}
+
+impl<'a, 'w> Batch<'a, 'w> {
+    /// Shader resolution for the whole range comes first, so dangling
+    /// references are reported identically whether or not a cache would
+    /// have served the content. With a `registry` fingerprint
+    /// ([`CacheMode::On`]) the draws' shape digests fold into the key.
+    fn new(
+        cols: &'a DrawColumns,
+        workload: &'w Workload,
+        ctx: &'a ShaderCtx<'w>,
+        registry: Option<RegistryFingerprint>,
+        start: usize,
+        end: usize,
+    ) -> Result<Self, SimError> {
+        let ids = cols.ids();
+        let vs_ids = cols.vertex_shaders();
+        let ps_ids = cols.pixel_shaders();
+        let mut shaders = Vec::with_capacity(end - start);
+        for i in start..end {
+            let vs = ctx.resolve(ids[i], vs_ids[i])?;
+            let ps = ctx.resolve(ids[i], ps_ids[i])?;
+            shaders.push((vs, ps));
         }
-        Ok(WorkloadCost::from_frames(
-            per_frame.into_iter().map(FrameCost::from_draws).collect(),
-        ))
+        let warmths: Vec<f64> = (start..end).map(|i| warmth_at(cols, i)).collect();
+        let key = registry.map(|registry| {
+            BatchKey::of((start..end).zip(&shaders).zip(&warmths).map(
+                |((i, (vs, ps)), &warmth)| shape_at(cols, i, &vs.pack, &ps.pack, registry, warmth),
+            ))
+        });
+        Ok(Batch {
+            cols,
+            textures: workload.textures(),
+            start,
+            shaders,
+            warmths,
+            key,
+        })
+    }
+
+    /// Materialises every draw of the batch and prepares its
+    /// config-independent half.
+    fn prepare(&self) -> Vec<PreparedDraw> {
+        self.shaders
+            .iter()
+            .zip(&self.warmths)
+            .enumerate()
+            .map(|(k, ((vs, ps), &warmth))| {
+                let draw = self.cols.get(self.start + k).expect("batch index in range");
+                PreparedDraw::new(&draw, vs.program, ps.program, self.textures, warmth)
+            })
+            .collect()
     }
 }
 

@@ -4,7 +4,7 @@ use crate::config::ArchConfig;
 use crate::error::SimError;
 use crate::freq::FrequencySweep;
 use crate::memo::{CacheMode, CacheStats};
-use crate::sim::Simulator;
+use crate::sim::{sweep_totals, Simulator};
 use serde::{Deserialize, Serialize};
 use subset3d_trace::Workload;
 
@@ -28,13 +28,19 @@ pub struct ConfigPoint {
 
 /// Simulates `workload` at every core clock of `sweep` on the `base` design.
 ///
-/// Points are simulated concurrently on the shared [`subset3d_exec`] pool;
-/// the result order and every value are identical at any thread count.
+/// Every point is evaluated in one walk over the workload's batches (see
+/// [`SweepSession`]), fanned out over the shared [`subset3d_exec`] pool;
+/// the result order and every value are identical at any thread count,
+/// and each total equals a fresh [`Simulator`]'s at that clock.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::UnknownShader`] when the workload references shaders
 /// missing from its own library.
+///
+/// # Panics
+///
+/// Panics if `base` at one of the swept clocks is an invalid configuration.
 ///
 /// # Examples
 ///
@@ -55,21 +61,22 @@ pub fn sweep_frequencies(
     sweep: &FrequencySweep,
 ) -> Result<Vec<SweepPoint>, SimError> {
     let configs = sweep.configs(base);
-    subset3d_exec::par_map_indexed(&configs, |i, config| {
-        let _t = subset3d_obs::trace_span_arg("gpusim", "sweep.candidate", "index", i as u64);
-        let sim = Simulator::from_ref(config);
-        Ok(SweepPoint {
+    let sims: Vec<Simulator<&ArchConfig>> = configs.iter().map(Simulator::from_ref).collect();
+    let totals = sweep_totals(&sims, workload)?;
+    Ok(configs
+        .iter()
+        .zip(totals)
+        .map(|(config, total_ns)| SweepPoint {
             core_clock_mhz: config.core_clock_mhz,
-            total_ns: sim.simulate_workload(workload)?.total_ns,
+            total_ns,
         })
-    })
-    .into_iter()
-    .collect()
+        .collect())
 }
 
-/// Simulates `workload` on every candidate design point, concurrently on
-/// the shared [`subset3d_exec`] pool; the result order and every value are
-/// identical at any thread count.
+/// Simulates `workload` on every candidate design point in one walk over
+/// its batches (see [`SweepSession`]), with no batch cache; the result
+/// order and every value are identical at any thread count, and each
+/// total equals a fresh [`Simulator`]'s on that candidate.
 ///
 /// # Errors
 ///
@@ -87,19 +94,19 @@ pub fn sweep_configs(
             name: config.name.clone(),
         });
     }
-    subset3d_exec::par_map_indexed(candidates, |i, config| {
-        let _t = subset3d_obs::trace_span_arg("gpusim", "sweep.candidate", "index", i as u64);
-        let sim = Simulator::from_ref(config);
-        Ok(ConfigPoint {
+    let sims: Vec<Simulator<&ArchConfig>> = candidates.iter().map(Simulator::from_ref).collect();
+    let totals = sweep_totals(&sims, workload)?;
+    Ok(candidates
+        .iter()
+        .zip(totals)
+        .map(|(config, total_ns)| ConfigPoint {
             name: config.name.clone(),
-            total_ns: sim.simulate_workload(workload)?.total_ns,
+            total_ns,
         })
-    })
-    .into_iter()
-    .collect()
+        .collect())
 }
 
-/// A reusable design-space sweep: one persistent [`Simulator`] per
+/// A reusable design-space sweep: one persistent batch cache per
 /// candidate, so repeated sweeps reuse memoized batch costs.
 ///
 /// Architecture pathfinding is iterative — the same workloads are swept
@@ -110,7 +117,14 @@ pub fn sweep_configs(
 /// later sweeps cost a fraction of the first; results are bit-identical
 /// to [`sweep_configs`].
 ///
-/// Simulators are created in [`CacheMode::On`]: re-simulation is the
+/// A sweep is one walk over the workload's batches for all candidates:
+/// each batch's shaders, warmths and cache key are computed once, each
+/// candidate probes its own cache, and the batch's draws are prepared
+/// once (`PreparedDraw`) — only if some candidate missed — then
+/// evaluated on each candidate that did. A warm sweep never materialises
+/// a draw.
+///
+/// Candidates are created in [`CacheMode::On`]: re-simulation is the
 /// point of keeping a session, so batch costs are retained from the
 /// cold first pass onwards.
 ///
@@ -155,7 +169,7 @@ impl SweepSession {
         Ok(SweepSession { sims })
     }
 
-    /// Sets the memoization policy of every candidate's simulator
+    /// Sets the memoization policy of every candidate
     /// (benchmarks use [`CacheMode::Off`] for an uncached baseline).
     pub fn set_cache_mode(&self, mode: CacheMode) {
         for sim in &self.sims {
@@ -163,24 +177,25 @@ impl SweepSession {
         }
     }
 
-    /// Simulates `workload` on every candidate, concurrently on the
-    /// shared [`subset3d_exec`] pool. Result order and every value are
-    /// identical at any thread count.
+    /// Simulates `workload` on every candidate in one walk over its
+    /// batches, fanned out over the shared [`subset3d_exec`] pool. Result
+    /// order and every value are identical at any thread count.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::UnknownShader`] when the workload references
     /// shaders missing from its own library.
     pub fn sweep(&self, workload: &Workload) -> Result<Vec<ConfigPoint>, SimError> {
-        subset3d_exec::par_map_indexed(&self.sims, |i, sim| {
-            let _t = subset3d_obs::trace_span_arg("gpusim", "sweep.candidate", "index", i as u64);
-            Ok(ConfigPoint {
+        let totals = sweep_totals(&self.sims, workload)?;
+        Ok(self
+            .sims
+            .iter()
+            .zip(totals)
+            .map(|(sim, total_ns)| ConfigPoint {
                 name: sim.config().name.clone(),
-                total_ns: sim.simulate_workload(workload)?.total_ns,
+                total_ns,
             })
-        })
-        .into_iter()
-        .collect()
+            .collect())
     }
 
     /// Aggregated hit/miss counters across every candidate's caches.

@@ -2,9 +2,15 @@
 //! monotonically and sanely to every workload and architecture knob.
 
 use proptest::prelude::*;
-use subset3d_gpusim::{ArchConfig, Simulator};
+use subset3d_gpusim::analytic::analyze_draw;
+use subset3d_gpusim::reference::reference_draw_cost;
+use subset3d_gpusim::{ArchConfig, DrawCost, FrequencySweep, Simulator};
 use subset3d_trace::gen::GameProfile;
-use subset3d_trace::{DrawCall, Workload};
+use subset3d_trace::{
+    BlendMode, CullMode, DepthMode, DrawCall, DrawId, InstructionMix, PrimitiveTopology,
+    RenderTargetDesc, ShaderId, ShaderProgram, ShaderStage, StateId, TextureDesc, TextureFormat,
+    TextureId, TextureRegistry, Workload,
+};
 
 fn probe() -> (Workload, DrawCall) {
     let w = GameProfile::shooter("probe")
@@ -121,5 +127,154 @@ proptest! {
         let tb = Simulator::new(base).simulate_workload(&w).unwrap().total_ns;
         let tw = Simulator::new(wide).simulate_workload(&w).unwrap().total_ns;
         prop_assert!(tw <= tb + 1e-6);
+    }
+}
+
+const BLENDS: [BlendMode; 3] = [
+    BlendMode::Opaque,
+    BlendMode::AlphaBlend,
+    BlendMode::Additive,
+];
+const DEPTHS: [DepthMode; 3] = [
+    DepthMode::TestAndWrite,
+    DepthMode::TestOnly,
+    DepthMode::Disabled,
+];
+const CULLS: [CullMode; 3] = [CullMode::None, CullMode::Back, CullMode::Front];
+const TOPOLOGIES: [PrimitiveTopology; 4] = [
+    PrimitiveTopology::TriangleList,
+    PrimitiveTopology::TriangleStrip,
+    PrimitiveTopology::LineList,
+    PrimitiveTopology::PointList,
+];
+const FORMATS: [TextureFormat; 6] = [
+    TextureFormat::Rgba8,
+    TextureFormat::Bc1,
+    TextureFormat::Bc3,
+    TextureFormat::Rgba16f,
+    TextureFormat::Rg32f,
+    TextureFormat::Depth24Stencil8,
+];
+
+/// Divergence and warmth picks: inside `0..=1`, on its ends, and outside
+/// it on both sides (index 4 draws a fresh value in `0..1` instead).
+const CONTEXT_EDGES: [f64; 4] = [-0.5, 0.0, 1.0, 1.5];
+
+/// One texture per format with ids `0..6`; ids 6 and up do not resolve.
+fn edge_registry() -> TextureRegistry {
+    let mut reg = TextureRegistry::new();
+    for (i, format) in FORMATS.into_iter().enumerate() {
+        let size = 64 << i;
+        reg.insert(TextureDesc {
+            id: TextureId(i as u32),
+            width: size,
+            height: size / 2,
+            mips: 1 + i as u32 * 2,
+            format,
+        });
+    }
+    reg
+}
+
+fn shader(
+    stage: ShaderStage,
+    mix: (u32, u32, u32),
+    samples: u32,
+    div: f64,
+    regs: u32,
+) -> ShaderProgram {
+    let mut program = ShaderProgram::new(
+        ShaderId(stage as u32),
+        stage,
+        "edge",
+        InstructionMix {
+            alu: mix.0,
+            mad: mix.1,
+            transcendental: mix.2,
+            texture_samples: samples,
+            interpolants: mix.0 % 7,
+            control_flow: mix.1 % 3,
+        },
+    );
+    program.divergence = div;
+    program.registers = regs;
+    program
+}
+
+fn pick(index: usize, fresh: f64) -> f64 {
+    CONTEXT_EDGES.get(index).copied().unwrap_or(fresh)
+}
+
+fn cost_bits(c: &DrawCost) -> [u64; 8] {
+    [
+        c.geometry_cycles.to_bits(),
+        c.raster_cycles.to_bits(),
+        c.pixel_cycles.to_bits(),
+        c.texture_cycles.to_bits(),
+        c.rop_cycles.to_bits(),
+        c.overhead_cycles.to_bits(),
+        c.mem_bytes.to_bits(),
+        c.time_ns.to_bits(),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The production model (prepared once, evaluated per config) equals
+    /// the independently re-derived reference on every `DrawCost` field,
+    /// bit for bit, on every config a sweep evaluates — across every
+    /// fixed-function variant, zero-primitive and million-vertex draws,
+    /// unbound, unknown and duplicate textures, untextured shaders, and
+    /// divergence and warmth outside `0..=1`.
+    #[test]
+    fn analyze_draw_matches_the_reference_on_every_field(
+        (blend, depth, cull, topology) in (0usize..3, 0usize..3, 0usize..3, 0usize..4),
+        (tiny, vertices, instances) in (any::<bool>(), 0u64..1_000_001, 1u32..16),
+        (coverage, overdraw, z_pass, locality) in (0.0f64..1.0, 0.0f64..8.0, 0.0f64..1.0, 0.0f64..1.0),
+        textures in prop::collection::vec(0u32..9, 0..6),
+        (rt_format, rt_samples, rt_attachments, rt_scale) in (0usize..6, 0u32..3, 1u32..5, 1u32..5),
+        (vs_mix, ps_mix) in ((0u32..40, 0u32..20, 0u32..4), (0u32..40, 0u32..20, 0u32..4)),
+        (samples, vs_regs, ps_regs) in (0u32..3, 0u32..160, 0u32..160),
+        (vs_div, ps_div, warmth) in ((0usize..5, 0.0f64..1.0), (0usize..5, 0.0f64..1.0), (0usize..5, 0.0f64..1.0)),
+    ) {
+        let draw = DrawCall {
+            id: DrawId(7),
+            state: StateId(3),
+            vertex_shader: ShaderId(ShaderStage::Vertex as u32),
+            pixel_shader: ShaderId(ShaderStage::Pixel as u32),
+            blend: BLENDS[blend],
+            depth: DEPTHS[depth],
+            cull: CULLS[cull],
+            topology: TOPOLOGIES[topology],
+            // Zero to two vertices make zero primitives on most topologies.
+            vertex_count: if tiny { vertices % 3 } else { vertices },
+            instance_count: instances,
+            textures: textures.into_iter().map(TextureId).collect(),
+            render_target: RenderTargetDesc {
+                width: 480 * rt_scale,
+                height: 270 * rt_scale,
+                format: FORMATS[rt_format],
+                samples: 1 << rt_samples,
+                color_attachments: rt_attachments,
+            },
+            coverage,
+            overdraw,
+            z_pass_rate: z_pass,
+            texel_locality: locality,
+            material_tag: 0,
+        };
+        let vs = shader(ShaderStage::Vertex, vs_mix, 0, pick(vs_div.0, vs_div.1), vs_regs);
+        let ps = shader(ShaderStage::Pixel, ps_mix, samples, pick(ps_div.0, ps_div.1), ps_regs);
+        let warmth = pick(warmth.0, warmth.1);
+        let registry = edge_registry();
+        let mut configs = ArchConfig::pathfinding_candidates();
+        configs.extend(FrequencySweep::standard().configs(&ArchConfig::baseline()));
+        for config in &configs {
+            let got = analyze_draw(&draw, &vs, &ps, &registry, config, warmth);
+            let want = reference_draw_cost(&draw, &vs, &ps, &registry, config, warmth);
+            prop_assert_eq!(cost_bits(&got), cost_bits(&want), "{}: {:?}", config.name, draw);
+            prop_assert_eq!(got.bottleneck, want.bottleneck, "{}: {:?}", config.name, draw);
+        }
     }
 }

@@ -1,15 +1,19 @@
 //! Proves the differential oracle has teeth: with the test-only
 //! `fault-injection` hook armed, a batch-cache hit returns its stored
 //! costs with `time_ns` flipped by one ulp — the smallest possible
-//! corruption — and the oracle must still name it.
+//! corruption — and the oracle must still name it. The same hook sits on
+//! the read a warm `SweepSession::sweep` makes, so the session's totals
+//! must move off the reference model's too.
 //!
 //! Gated behind `required-features = ["fault-injection"]`: plain
 //! `cargo test` never compiles the hook. Run via
 //! `cargo test -p subset3d-testkit --features fault-injection`.
 
-use subset3d_gpusim::{fault, ArchConfig, CacheMode, Simulator};
+use subset3d_gpusim::reference::reference_workload_cost;
+use subset3d_gpusim::{fault, ArchConfig, CacheMode, Simulator, SweepSession};
 use subset3d_testkit::corpus::golden_corpus;
 use subset3d_testkit::oracle::run_oracle;
+use subset3d_trace::{Frame, FrameId, Workload};
 
 /// Disarms the hook even if an assertion below panics, so a failure here
 /// cannot poison other tests in a shared process.
@@ -59,4 +63,55 @@ fn one_ulp_memo_corruption_is_caught() {
     run_oracle("mutation/disarmed", &workload, &fresh)
         .unwrap()
         .assert_clean();
+
+    // The sweep walk's hit path (same process-global hook, so the same
+    // test): a session's warm pass reads only draw times from the batch
+    // caches, and an armed read must move every candidate's total off
+    // the reference. Over many draws, flips in opposite directions can
+    // cancel below a total's last bit; a one-draw workload's total is
+    // its draw's time exactly, so there the flip must show.
+    let candidates = ArchConfig::pathfinding_candidates();
+    for draw in workload.frames()[0].to_draws().into_iter().take(3) {
+        let single = Workload::new(
+            "mutation/sweep",
+            vec![Frame::new(FrameId(0), vec![draw])],
+            workload.shaders().clone(),
+            workload.textures().clone(),
+            workload.states().clone(),
+        );
+        let reference: Vec<u64> = candidates
+            .iter()
+            .map(|c| {
+                reference_workload_cost(&single, c)
+                    .unwrap()
+                    .total_ns
+                    .to_bits()
+            })
+            .collect();
+        let totals = |session: &SweepSession| -> Vec<u64> {
+            session
+                .sweep(&single)
+                .unwrap()
+                .iter()
+                .map(|p| p.total_ns.to_bits())
+                .collect()
+        };
+        let session = SweepSession::new(&candidates).unwrap();
+        assert_eq!(totals(&session), reference, "cold sweep, disarmed");
+        fault::arm();
+        let armed = totals(&session);
+        fault::disarm();
+        assert!(
+            session.cache_stats().batch_hits > 0,
+            "the warm sweep must be served from the batch caches"
+        );
+        for (c, (a, r)) in armed.iter().zip(&reference).enumerate() {
+            assert_ne!(
+                a, r,
+                "armed one-ulp corruption left candidate {c}'s total unchanged"
+            );
+        }
+        let fresh = SweepSession::new(&candidates).unwrap();
+        assert_eq!(totals(&fresh), reference, "fresh session, disarmed");
+    }
 }
