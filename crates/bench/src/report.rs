@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 use subset3d_core::{ClusterMethod, SubsetConfig, Subsetter};
 use subset3d_gpusim::{ArchConfig, CacheMode, Simulator, SweepSession};
 use subset3d_serve::{
-    replay, NetClient, NetServer, NetServerConfig, ReplayOptions, ReplayOutcome, ServeConfig,
-    TelemetryOptions,
+    replay, replay_remote, NetServer, NetServerConfig, RemoteReplay, ReplayOptions, ReplayOutcome,
+    ServeConfig, TelemetryOptions,
 };
 use subset3d_trace::gen::GameProfile;
 use subset3d_trace::Workload;
@@ -408,31 +408,21 @@ pub fn collect_serve_net(workload: &Workload, baseline: &ServeReplayBench) -> Se
         .expect("spawn bench listener");
     let addr = server.addr().to_string();
 
-    let mut best: Option<(u64, Vec<u64>)> = None;
+    let mut best: Option<RemoteReplay> = None;
     for _ in 0..RUNS {
-        let run_start = Instant::now();
-        let mut wire_ns = Vec::new();
-        for _ in 0..SERVE_SESSIONS {
-            let mut client = NetClient::connect(&addr).expect("connect bench client");
-            let session = client.open(workload).expect("open bench session");
-            for chunk in workload.frames().chunks(SERVE_CHUNK_FRAMES) {
-                let start = Instant::now();
-                client.ingest(session, chunk).expect("wire ingest");
-                wire_ns.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            }
-            client.close(session).expect("close bench session");
-        }
-        let wall_ns = u64::try_from(run_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if best.as_ref().is_none_or(|(b, _)| wall_ns < *b) {
-            best = Some((wall_ns, wire_ns));
+        let run = replay_remote(&addr, workload, SERVE_SESSIONS, SERVE_CHUNK_FRAMES)
+            .expect("loopback bench replay");
+        if best.as_ref().is_none_or(|b| run.wall_ns < b.wall_ns) {
+            best = Some(run);
         }
     }
     server.stop();
 
-    let (wall_ns, wire_ns) = best.expect("RUNS >= 1");
+    let run = best.expect("RUNS >= 1");
+    let wall_ns = run.wall_ns;
     let frames_per_session = workload.frames().len();
     let total_frames = frames_per_session * SERVE_SESSIONS;
-    let wire_latency = LatencyDigest::of(&wire_ns);
+    let wire_latency = LatencyDigest::of(&run.wire_ns);
     ServeNetBench {
         sessions: SERVE_SESSIONS,
         chunk_frames: SERVE_CHUNK_FRAMES,

@@ -783,53 +783,8 @@ fn run_serve_connect(args: &ServeArgs, addr: &str, out: &mut dyn Write) -> Resul
         telemetry: telemetry_options(args),
     };
     let reference = subset3d_serve::replay(&workload, &config, &options)?;
-
-    let started = std::time::Instant::now();
-    let mut wire_ns = Vec::new();
-    let mut throttled = 0u64;
-    let mut shed = 0u64;
-    for (session_idx, expected) in reference.updates.iter().enumerate() {
-        let mut client = subset3d_serve::NetClient::connect(addr)?;
-        let session = client.open(&workload)?;
-        let mut session_shed = false;
-        for (chunk_idx, chunk) in workload.frames().chunks(args.chunk).enumerate() {
-            let chunk_start = std::time::Instant::now();
-            let got = client.ingest(session, chunk)?;
-            wire_ns.push(duration_ns(chunk_start.elapsed()));
-            match got.pressure {
-                subset3d_serve::Pressure::Throttle => throttled += 1,
-                subset3d_serve::Pressure::Shed => {
-                    shed += 1;
-                    session_shed = true;
-                }
-                subset3d_serve::Pressure::Nominal => {}
-            }
-            if got.update != expected[chunk_idx] {
-                return Err(CliError::Differential(format!(
-                    "session {session_idx} chunk {chunk_idx}: wire update {:?} \
-                     != in-process update {:?} (the listener must be launched \
-                     with the same --backend/--threshold/--capacity flags)",
-                    got.update, expected[chunk_idx]
-                )));
-            }
-            if session_shed {
-                // The server force-closed the session; nothing further
-                // to compare on this stream.
-                break;
-            }
-        }
-        if !session_shed {
-            let final_update = client.close(session)?;
-            let expected_final = &reference.reports[session_idx].final_update;
-            if final_update != *expected_final {
-                return Err(CliError::Differential(format!(
-                    "session {session_idx} final update diverged: \
-                     wire {final_update:?} != in-process {expected_final:?}"
-                )));
-            }
-        }
-    }
-    let wall_ns = duration_ns(started.elapsed());
+    let remote = subset3d_serve::replay_remote(addr, &workload, args.sessions, args.chunk)?;
+    check_wire_differential(&reference, &remote)?;
 
     if let Some(report) = &reference.telemetry {
         if let Some(path) = &args.prom_out {
@@ -840,12 +795,22 @@ fn run_serve_connect(args: &ServeArgs, addr: &str, out: &mut dyn Write) -> Resul
         }
     }
 
-    let chunks = wire_ns.len();
+    let chunks = remote.wire_ns.len();
     let mean_wire_ns = if chunks == 0 {
         0.0
     } else {
-        wire_ns.iter().sum::<u64>() as f64 / chunks as f64
+        remote.wire_ns.iter().sum::<u64>() as f64 / chunks as f64
     };
+    let pressured = |pressure| {
+        remote
+            .updates
+            .iter()
+            .flatten()
+            .filter(|u| u.pressure == pressure)
+            .count() as u64
+    };
+    let throttled = pressured(subset3d_serve::Pressure::Throttle);
+    let shed = pressured(subset3d_serve::Pressure::Shed);
     if args.json {
         let summary = NetReplaySummary {
             addr: addr.to_string(),
@@ -854,7 +819,7 @@ fn run_serve_connect(args: &ServeArgs, addr: &str, out: &mut dyn Write) -> Resul
             chunks_streamed: chunks,
             differential_ok: true,
             mean_wire_ns,
-            wall_ns,
+            wall_ns: remote.wall_ns,
             throttled_updates: throttled,
             sessions_shed: shed,
         };
@@ -890,6 +855,58 @@ fn run_serve_connect(args: &ServeArgs, addr: &str, out: &mut dyn Write) -> Resul
         }
     }
     Ok(())
+}
+
+/// Holds every wire update to the in-process replay's in (session, chunk)
+/// order, then each unshed session's final update to its drained report,
+/// and fails on the first that differs by a single bit. A shed session
+/// has no in-process counterpart to its final (the server closed it
+/// early).
+fn check_wire_differential(
+    reference: &subset3d_serve::ReplayOutcome,
+    remote: &subset3d_serve::RemoteReplay,
+) -> Result<(), CliError> {
+    for (session_idx, (wire, expected)) in remote.updates.iter().zip(&reference.updates).enumerate()
+    {
+        for (chunk_idx, (got, expected)) in wire.iter().zip(expected).enumerate() {
+            if !bit_identical(&got.update, expected) {
+                return Err(CliError::Differential(format!(
+                    "session {session_idx} chunk {chunk_idx}: wire update {:?} \
+                     != in-process update {expected:?} (the listener must be launched \
+                     with the same --backend/--threshold/--capacity flags)",
+                    got.update
+                )));
+            }
+        }
+        let shed = wire
+            .last()
+            .is_some_and(|u| u.pressure == subset3d_serve::Pressure::Shed);
+        let final_update = &remote.finals[session_idx];
+        let expected_final = &reference.reports[session_idx].final_update;
+        if !shed && !bit_identical(final_update, expected_final) {
+            return Err(CliError::Differential(format!(
+                "session {session_idx} final update diverged: \
+                 wire {final_update:?} != in-process {expected_final:?}"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Whether two updates agree bit for bit: `to_bits` on the floats, where
+/// `==` would take `-0.0` for `0.0`, and `==` on everything else.
+fn bit_identical(a: &subset3d_serve::SubsetUpdate, b: &subset3d_serve::SubsetUpdate) -> bool {
+    use subset3d_serve::SubsetUpdate;
+    let floats = |u: &SubsetUpdate| {
+        [u.mean_prediction_error, u.mean_efficiency, u.error_bound].map(f64::to_bits)
+    };
+    let rest = |u: &SubsetUpdate| SubsetUpdate {
+        mean_prediction_error: 0.0,
+        mean_efficiency: 0.0,
+        error_bound: 0.0,
+        ..u.clone()
+    };
+    floats(a) == floats(b) && rest(a) == rest(b)
 }
 
 /// Machine-readable digest of a `serve --connect` run.
@@ -1613,6 +1630,29 @@ mod tests {
         assert!(matches!(err, CliError::Differential(_)), "got {err:?}");
         server.stop();
         std::fs::remove_file(&trace).ok();
+    }
+
+    #[test]
+    fn wire_differential_compares_floats_by_bit_pattern() {
+        let update = subset3d_serve::SubsetUpdate {
+            chunks_ingested: 2,
+            frames_seen: 8,
+            draws_seen: 320,
+            cluster_count: 3,
+            representative_frames: vec![0, 4, 7],
+            mean_prediction_error: 0.011,
+            mean_efficiency: 0.66,
+            error_bound: 0.0,
+            reservoir_occupancy: 8,
+            reservoir_capacity: 4096,
+        };
+        assert!(bit_identical(&update, &update.clone()));
+        let negated = subset3d_serve::SubsetUpdate {
+            error_bound: -0.0,
+            ..update.clone()
+        };
+        assert_eq!(update, negated, "`==` takes -0.0 for 0.0");
+        assert!(!bit_identical(&update, &negated));
     }
 
     #[test]

@@ -31,9 +31,8 @@
 //!
 //! Announcing a batch to the workers costs a channel send and a wakeup
 //! per worker — more than a tiny batch saves. Batches with fewer than
-//! [`serial_threshold`] items (default [`DEFAULT_SERIAL_THRESHOLD`],
-//! override with `SUBSET3D_SERIAL_THRESHOLD`) therefore run inline on
-//! the caller. Because results always land at their item's index, the
+//! [`DEFAULT_SERIAL_THRESHOLD`] items therefore run inline on the
+//! caller. Because results always land at their item's index, the
 //! fallback is invisible to callers: outputs are bit-identical either
 //! way (covered by the determinism test).
 //!
@@ -59,25 +58,11 @@ use subset3d_obs::{LazyCounter, LazyHistogram};
 /// Environment variable overriding the global pool's thread count.
 pub const THREADS_ENV: &str = "SUBSET3D_THREADS";
 
-/// Environment variable overriding the serial-fallback threshold.
-pub const SERIAL_THRESHOLD_ENV: &str = "SUBSET3D_SERIAL_THRESHOLD";
-
-/// Default batch size below which [`ThreadPool::par_map_indexed`] runs
-/// inline on the caller instead of fanning out. Small enough that the
+/// Batch size below which [`ThreadPool::par_map_indexed`] runs inline
+/// on the caller instead of fanning out. Small enough that the
 /// six-candidate pathfinding sweep (few items, each expensive) still
 /// parallelises.
 pub const DEFAULT_SERIAL_THRESHOLD: usize = 4;
-
-/// Item count below which batches run inline: `SUBSET3D_SERIAL_THRESHOLD`
-/// if set to an integer, otherwise [`DEFAULT_SERIAL_THRESHOLD`].
-pub fn serial_threshold() -> usize {
-    if let Ok(raw) = std::env::var(SERIAL_THRESHOLD_ENV) {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            return n;
-        }
-    }
-    DEFAULT_SERIAL_THRESHOLD
-}
 
 // Executor metrics (recorded only while `subset3d_obs` is enabled):
 // batches dispatched, items executed on the caller vs. each worker,
@@ -265,7 +250,7 @@ impl ThreadPool {
     {
         let chunk = chunk.max(1);
         let n = items.len();
-        if self.threads <= 1 || n <= 1 || n < serial_threshold() {
+        if self.threads <= 1 || n <= 1 || n < DEFAULT_SERIAL_THRESHOLD {
             let _span =
                 subset3d_obs::trace_span_arg("exec", "exec.batch.serial", "items", n as u64);
             return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
@@ -344,16 +329,6 @@ impl ThreadPool {
                 unsafe { slot.assume_init() }
             })
             .collect()
-    }
-
-    /// Runs `f` for every item in parallel; ordering of side effects is
-    /// unspecified, completion of all items is guaranteed on return.
-    pub fn par_for_each_indexed<T, F>(&self, items: &[T], f: F)
-    where
-        T: Sync,
-        F: Fn(usize, &T) + Sync,
-    {
-        self.par_map_indexed(items, |i, t| f(i, t));
     }
 }
 
@@ -470,15 +445,6 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     global().par_map_chunked(items, chunk, f)
-}
-
-/// [`ThreadPool::par_for_each_indexed`] on the global pool.
-pub fn par_for_each_indexed<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(usize, &T) + Sync,
-{
-    global().par_for_each_indexed(items, f)
 }
 
 #[cfg(test)]
@@ -663,41 +629,30 @@ mod tests {
         );
     }
 
-    // Tests that mutate SUBSET3D_SERIAL_THRESHOLD serialize on one lock.
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn serial_fallback_is_bit_identical() {
-        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Float math whose result would expose any reassociation or
         // reordering between the inline and fanned-out paths.
         let items: Vec<u64> = (0..100).collect();
-        let pool = ThreadPool::new(8);
-        let run = || {
-            pool.par_map_indexed(&items, |i, &x| {
+        let run = |pool: &ThreadPool, items: &[u64]| {
+            pool.par_map_indexed(items, |i, &x| {
                 (0..50).fold(x as f64 + i as f64, |acc, k| acc * 1.000_1 + k as f64)
             })
         };
-        std::env::set_var(SERIAL_THRESHOLD_ENV, "1000"); // everything inline
-        let serial = run();
-        std::env::set_var(SERIAL_THRESHOLD_ENV, "0"); // everything fanned out
-        let parallel = run();
-        std::env::remove_var(SERIAL_THRESHOLD_ENV);
+        let inline = ThreadPool::new(1); // no workers: everything inline
+        let fanned = ThreadPool::new(8); // 100 items: fanned out
+        let serial = run(&inline, &items);
+        let parallel = run(&fanned, &items);
         assert_eq!(serial.len(), parallel.len());
         for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "item {i} diverged");
         }
-    }
-
-    #[test]
-    fn serial_threshold_reads_environment() {
-        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::set_var(SERIAL_THRESHOLD_ENV, "17");
-        assert_eq!(serial_threshold(), 17);
-        std::env::set_var(SERIAL_THRESHOLD_ENV, "not-a-number");
-        assert_eq!(serial_threshold(), DEFAULT_SERIAL_THRESHOLD);
-        std::env::remove_var(SERIAL_THRESHOLD_ENV);
-        assert_eq!(serial_threshold(), DEFAULT_SERIAL_THRESHOLD);
+        // Below the threshold the 8-thread pool runs inline too.
+        let small = &items[..DEFAULT_SERIAL_THRESHOLD - 1];
+        let below = run(&fanned, small);
+        for (i, (a, b)) in below.iter().zip(&serial).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "small-batch item {i} diverged");
+        }
     }
 
     #[test]

@@ -47,7 +47,6 @@ use subset3d_trace::TextureRegistry;
 // `MetricsSnapshot` shows cache behaviour without holding a `Simulator`.
 static OBS_BATCH_HITS: LazyCounter = LazyCounter::new("gpusim.batch_cache.hits");
 static OBS_BATCH_MISSES: LazyCounter = LazyCounter::new("gpusim.batch_cache.misses");
-static OBS_BATCH_EVICTED: LazyCounter = LazyCounter::new("gpusim.batch_cache.evicted");
 
 /// FNV-1a offset bases of the two independent digest streams, and the
 /// shared 64-bit FNV prime.
@@ -206,9 +205,8 @@ impl CacheStats {
 /// One entry per distinct batch per architecture configuration; a warm
 /// re-simulation pass probes once per batch and reads the cost slice in
 /// place, skipping the per-draw model entirely. Shared by every worker
-/// simulating on one `Simulator` (or one sweep candidate); consulted
-/// only in [`CacheMode::On`], and cleared by the owner when the config
-/// changes.
+/// simulating on one `Simulator` (or one sweep candidate), whose config
+/// never changes; consulted only in [`CacheMode::On`].
 pub(crate) struct BatchCostCache {
     map: RwLock<HashMap<BatchKey, Box<[DrawCost]>, BuildHasherDefault<PassThroughHasher>>>,
     hits: AtomicU64,
@@ -265,15 +263,6 @@ impl BatchCostCache {
     /// Number of retained batches.
     pub(crate) fn len(&self) -> usize {
         self.map.read().len()
-    }
-
-    /// Drops every entry and zeroes the counters.
-    pub(crate) fn clear(&self) {
-        let mut map = self.map.write();
-        OBS_BATCH_EVICTED.add(map.len() as u64);
-        map.clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -404,9 +393,5 @@ mod tests {
         // Order and count are part of the key.
         assert_ne!(key, BatchKey::of([b, a]));
         assert_ne!(key, BatchKey::of([a]));
-
-        cache.clear();
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.stats(), CacheStats::default());
     }
 }

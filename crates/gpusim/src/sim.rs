@@ -25,7 +25,6 @@ use crate::error::SimError;
 use crate::memo::{
     BatchCostCache, BatchKey, CacheMode, CacheStats, DrawShape, RegistryFingerprint, ShapeHasher,
 };
-use std::borrow::Borrow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use subset3d_trace::{
@@ -51,14 +50,9 @@ pub const DEFAULT_BATCH_WIDTH: usize = 64;
 /// re-simulating a workload (sweep sessions, validation flows) is served
 /// batch-wholesale. The batch cache is keyed on exact bit patterns,
 /// making memoized results indistinguishable from uncached ones; it is
-/// shared across simulation worker threads and scoped to the current
-/// architecture configuration. The default, [`CacheMode::Off`], simply
-/// runs the model on every draw.
-///
-/// The config is held through [`Borrow`], so a simulator can own its
-/// [`ArchConfig`] (the default, via [`Simulator::new`]) or borrow one
-/// (via [`Simulator::from_ref`]) when the caller already owns the config,
-/// as design sweeps do.
+/// shared across simulation worker threads. A simulator's configuration
+/// is fixed at construction, so its cached costs never go stale. The
+/// default, [`CacheMode::Off`], simply runs the model on every draw.
 ///
 /// # Examples
 ///
@@ -72,8 +66,8 @@ pub const DEFAULT_BATCH_WIDTH: usize = 64;
 /// assert_eq!(frame_cost.draws.len(), w.frames()[0].draw_count());
 /// # Ok::<(), subset3d_gpusim::SimError>(())
 /// ```
-pub struct Simulator<C: Borrow<ArchConfig> = ArchConfig> {
-    config: C,
+pub struct Simulator {
+    config: ArchConfig,
     batches: BatchCostCache,
     /// Whether the batch cache is consulted ([`CacheMode::On`]).
     memoize: AtomicBool,
@@ -81,7 +75,7 @@ pub struct Simulator<C: Borrow<ArchConfig> = ArchConfig> {
 }
 
 impl Simulator {
-    /// Creates a simulator owning an architecture configuration.
+    /// Creates a simulator of an architecture configuration.
     ///
     /// # Panics
     ///
@@ -101,50 +95,9 @@ impl Simulator {
         }
     }
 
-    /// Replaces the architecture configuration. Memoized batch costs
-    /// belong to the old config and are invalidated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn set_config(&mut self, config: ArchConfig) {
-        assert!(
-            config.is_valid(),
-            "invalid architecture configuration '{}'",
-            config.name
-        );
-        self.config = config;
-        self.batches.clear();
-    }
-}
-
-impl<'a> Simulator<&'a ArchConfig> {
-    /// Creates a simulator borrowing an architecture configuration,
-    /// avoiding a clone when the caller keeps ownership (as config
-    /// sweeps do).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn from_ref(config: &'a ArchConfig) -> Self {
-        assert!(
-            config.is_valid(),
-            "invalid architecture configuration '{}'",
-            config.name
-        );
-        Simulator {
-            config,
-            batches: BatchCostCache::new(),
-            memoize: AtomicBool::new(false),
-            batch_width: AtomicUsize::new(DEFAULT_BATCH_WIDTH),
-        }
-    }
-}
-
-impl<C: Borrow<ArchConfig>> Simulator<C> {
     /// The simulated architecture configuration.
     pub fn config(&self) -> &ArchConfig {
-        self.config.borrow()
+        &self.config
     }
 
     /// Sets the memoization policy (default: [`CacheMode::Off`]).
@@ -219,7 +172,7 @@ impl<C: Borrow<ArchConfig>> Simulator<C> {
             vs,
             ps,
             workload.textures(),
-            self.config.borrow(),
+            &self.config,
             0.0,
         ))
     }
@@ -289,10 +242,7 @@ impl<C: Borrow<ArchConfig>> Simulator<C> {
     ///
     /// Returns [`SimError::UnknownShader`] when a draw references shaders
     /// missing from the workload's library.
-    pub fn simulate_workload(&self, workload: &Workload) -> Result<WorkloadCost, SimError>
-    where
-        C: Sync,
-    {
+    pub fn simulate_workload(&self, workload: &Workload) -> Result<WorkloadCost, SimError> {
         let frames = workload.frames();
         let _t = subset3d_obs::trace_span_arg(
             "gpusim",
@@ -338,10 +288,7 @@ impl<C: Borrow<ArchConfig>> Simulator<C> {
 ///
 /// Returns [`SimError::UnknownShader`] of the first failing batch in
 /// trace order.
-pub(crate) fn sweep_totals<C: Borrow<ArchConfig> + Sync>(
-    sims: &[Simulator<C>],
-    workload: &Workload,
-) -> Result<Vec<f64>, SimError> {
+pub(crate) fn sweep_totals(sims: &[Simulator], workload: &Workload) -> Result<Vec<f64>, SimError> {
     if sims.is_empty() {
         return Ok(Vec::new());
     }
@@ -545,7 +492,7 @@ impl<'a, 'w> Batch<'a, 'w> {
     }
 }
 
-impl<C: Borrow<ArchConfig> + Clone> Clone for Simulator<C> {
+impl Clone for Simulator {
     /// Clones the configuration and batch width; the clone starts with
     /// an empty batch cache in the default [`CacheMode::Off`].
     fn clone(&self) -> Self {
@@ -558,10 +505,10 @@ impl<C: Borrow<ArchConfig> + Clone> Clone for Simulator<C> {
     }
 }
 
-impl<C: Borrow<ArchConfig>> std::fmt::Debug for Simulator<C> {
+impl std::fmt::Debug for Simulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
-            .field("config", self.config.borrow())
+            .field("config", &self.config)
             .field("batch_width", &self.batch_width())
             .field("cache_stats", &self.cache_stats())
             .finish()
@@ -866,50 +813,6 @@ mod tests {
         sim.set_batch_width(16);
         sim.simulate_workload(&w).unwrap();
         assert_eq!(sim.cache_stats().batch_hits, batch_count(&w, 16));
-    }
-
-    #[test]
-    fn set_config_invalidates_cache() {
-        let w = workload();
-        for mode in [CacheMode::On, CacheMode::Off] {
-            let mut sim = Simulator::new(ArchConfig::baseline());
-            sim.set_cache_mode(mode);
-            let base = sim.simulate_workload(&w).unwrap();
-            assert_eq!(
-                sim.cached_batches() > 0,
-                mode == CacheMode::On,
-                "mode {mode:?}: only On retains batches"
-            );
-
-            sim.set_config(ArchConfig::small());
-            assert_eq!(
-                sim.cached_batches(),
-                0,
-                "mode {mode:?}: config change must clear the cache"
-            );
-            assert_eq!(sim.cache_stats(), CacheStats::default());
-            let small = sim.simulate_workload(&w).unwrap();
-            assert!(
-                small.total_ns > base.total_ns,
-                "mode {mode:?}: stale costs survived the config change"
-            );
-
-            // And the new config's results match a fresh simulator's exactly.
-            let fresh = Simulator::new(ArchConfig::small());
-            assert_eq!(small, fresh.simulate_workload(&w).unwrap());
-        }
-    }
-
-    #[test]
-    fn borrowed_config_simulator_matches_owned() {
-        let w = workload();
-        let config = ArchConfig::baseline();
-        let borrowed = Simulator::from_ref(&config);
-        let owned = Simulator::new(config.clone());
-        assert_eq!(
-            borrowed.simulate_workload(&w).unwrap(),
-            owned.simulate_workload(&w).unwrap()
-        );
     }
 
     #[test]

@@ -60,14 +60,17 @@ pub fn sweep_frequencies(
     base: &ArchConfig,
     sweep: &FrequencySweep,
 ) -> Result<Vec<SweepPoint>, SimError> {
-    let configs = sweep.configs(base);
-    let sims: Vec<Simulator<&ArchConfig>> = configs.iter().map(Simulator::from_ref).collect();
+    let sims: Vec<Simulator> = sweep
+        .configs(base)
+        .into_iter()
+        .map(Simulator::new)
+        .collect();
     let totals = sweep_totals(&sims, workload)?;
-    Ok(configs
+    Ok(sims
         .iter()
         .zip(totals)
-        .map(|(config, total_ns)| SweepPoint {
-            core_clock_mhz: config.core_clock_mhz,
+        .map(|(sim, total_ns)| SweepPoint {
+            core_clock_mhz: sim.config().core_clock_mhz,
             total_ns,
         })
         .collect())
@@ -88,13 +91,13 @@ pub fn sweep_configs(
     candidates: &[ArchConfig],
 ) -> Result<Vec<ConfigPoint>, SimError> {
     // Validate up front so an invalid candidate is reported before any
-    // simulation work is spent (and `from_ref` below cannot panic).
+    // simulation work is spent (and `Simulator::new` below cannot panic).
     if let Some(config) = candidates.iter().find(|c| !c.is_valid()) {
         return Err(SimError::InvalidConfig {
             name: config.name.clone(),
         });
     }
-    let sims: Vec<Simulator<&ArchConfig>> = candidates.iter().map(Simulator::from_ref).collect();
+    let sims: Vec<Simulator> = candidates.iter().cloned().map(Simulator::new).collect();
     let totals = sweep_totals(&sims, workload)?;
     Ok(candidates
         .iter()

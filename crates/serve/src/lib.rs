@@ -29,7 +29,7 @@
 //!   chunk-boundary invariant.
 //! * **Bounded drift** otherwise: the fit partitions a uniform reservoir
 //!   sample of the stream and the emitted error bound stays within
-//!   [`ServeConfig::drift_bound`] of the batch mean error.
+//!   [`DEFAULT_DRIFT_BOUND`] of the batch mean error.
 //!
 //! The testkit's streaming-vs-batch differential oracle enforces both
 //! halves for every golden profile across chunk sizes and thread counts.
@@ -67,8 +67,8 @@ mod telemetry;
 pub use error::ServeError;
 pub use manager::{SessionId, SessionManager, TimedUpdate};
 pub use net::{
-    BackpressurePolicy, NetClient, NetServer, NetServerConfig, NetServerHandle, NetStats,
-    NetUpdate, Pressure, DEFAULT_MAX_MESSAGE_BYTES, NET_MAGIC, NET_VERSION,
+    replay_remote, BackpressurePolicy, NetClient, NetServer, NetServerConfig, NetServerHandle,
+    NetStats, NetUpdate, Pressure, RemoteReplay, DEFAULT_MAX_MESSAGE_BYTES, NET_MAGIC, NET_VERSION,
 };
 pub use replay::{replay, ReplayOptions, ReplayOutcome, ReplaySummary};
 pub use session::{

@@ -1,4 +1,4 @@
-//! Sharded registry of concurrent sessions.
+//! Registry of concurrent sessions.
 
 use crate::error::ServeError;
 use crate::session::{ServeConfig, Session, SessionReport, SubsetUpdate};
@@ -99,13 +99,13 @@ struct SessionEntry {
 
 /// A long-lived registry of concurrent streaming sessions.
 ///
-/// Session state is sharded across `obs::shard_capacity()` lock-striped
-/// maps — the same table width the metrics layer sizes its thread slots to
-/// — so concurrent ingests into different sessions rarely contend on the
-/// registry. Batched ingests fan out on the shared [`subset3d_exec`] pool,
-/// whose workers pre-claim [`subset3d_obs::shard`] thread slots.
+/// One lock guards the id → session map, and it covers only a lookup,
+/// insert or removal: every ingest runs under its own session's lock, so
+/// concurrent ingests into different sessions never wait on each other.
+/// Batched ingests fan out on the shared [`subset3d_exec`] pool, whose
+/// workers pre-claim [`subset3d_obs::shard`] thread slots.
 pub struct SessionManager {
-    shards: Vec<Mutex<HashMap<u64, Arc<SessionEntry>>>>,
+    sessions: Mutex<HashMap<u64, Arc<SessionEntry>>>,
     /// Zero point of every entry's `last_touched` age stamp.
     epoch: Instant,
 }
@@ -117,12 +117,10 @@ impl Default for SessionManager {
 }
 
 impl SessionManager {
-    /// Creates a manager sharded to the observability layer's thread-slot
-    /// capacity.
+    /// Creates an empty manager.
     pub fn new() -> Self {
-        let shards = subset3d_obs::shard_capacity().max(1);
         SessionManager {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            sessions: Mutex::new(HashMap::new()),
             epoch: Instant::now(),
         }
     }
@@ -133,22 +131,13 @@ impl SessionManager {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Number of lock-striped shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of currently open sessions.
     pub fn session_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    fn shard_of(&self, id: u64) -> &Mutex<HashMap<u64, Arc<SessionEntry>>> {
-        &self.shards[(id % self.shards.len() as u64) as usize]
+        self.sessions.lock().len()
     }
 
     fn session(&self, id: SessionId) -> Result<Arc<SessionEntry>, ServeError> {
-        self.shard_of(id.0)
+        self.sessions
             .lock()
             .get(&id.0)
             .cloned()
@@ -170,7 +159,7 @@ impl SessionManager {
             obs: SessionObs::claim(id),
             last_touched: AtomicU64::new(self.now_ns()),
         };
-        self.shard_of(id).lock().insert(id, Arc::new(entry));
+        self.sessions.lock().insert(id, Arc::new(entry));
         OBS_OPENED.incr();
         Ok(SessionId(id))
     }
@@ -248,16 +237,14 @@ impl SessionManager {
             .now_ns()
             .saturating_sub(u64::try_from(ttl.as_nanos()).unwrap_or(u64::MAX));
         let mut evicted = Vec::new();
-        for shard in &self.shards {
-            shard.lock().retain(|&id, entry| {
-                let keep = entry.last_touched.load(Ordering::Relaxed) >= cutoff;
-                if !keep {
-                    evicted.push(SessionId(id));
-                    OBS_EVICTED.incr();
-                }
-                keep
-            });
-        }
+        self.sessions.lock().retain(|&id, entry| {
+            let keep = entry.last_touched.load(Ordering::Relaxed) >= cutoff;
+            if !keep {
+                evicted.push(SessionId(id));
+                OBS_EVICTED.incr();
+            }
+            keep
+        });
         evicted.sort_unstable();
         evicted
     }
@@ -270,8 +257,8 @@ impl SessionManager {
     /// [`ServeError::SessionBusy`] if another thread still holds the
     /// session (it stays open in that case).
     pub fn close(&self, id: SessionId) -> Result<SessionReport, ServeError> {
-        let mut shard = self.shard_of(id.0).lock();
-        let arc = shard
+        let mut sessions = self.sessions.lock();
+        let arc = sessions
             .remove(&id.0)
             .ok_or(ServeError::UnknownSession { id: id.0 })?;
         match Arc::try_unwrap(arc) {
@@ -283,7 +270,7 @@ impl SessionManager {
             }
             Err(arc) => {
                 // Someone is mid-ingest; put it back rather than losing it.
-                shard.insert(id.0, arc);
+                sessions.insert(id.0, arc);
                 Err(ServeError::SessionBusy { id: id.0 })
             }
         }
@@ -362,8 +349,8 @@ mod tests {
         // A weak handle to the idle entry: eviction must drop the last
         // strong reference, releasing the session's reservoir memory.
         let weak = {
-            let shard = mgr.shard_of(idle.raw()).lock();
-            Arc::downgrade(shard.get(&idle.raw()).unwrap())
+            let sessions = mgr.sessions.lock();
+            Arc::downgrade(sessions.get(&idle.raw()).unwrap())
         };
         std::thread::sleep(Duration::from_millis(30));
         // Refresh `live` right before the sweep; only `idle` has aged
@@ -394,12 +381,7 @@ mod tests {
         let w = workload(2);
         let mgr = SessionManager::new();
         let id = mgr.open(ServeConfig::default(), &w).unwrap();
-        let in_flight = mgr
-            .shard_of(id.raw())
-            .lock()
-            .get(&id.raw())
-            .unwrap()
-            .clone();
+        let in_flight = mgr.sessions.lock().get(&id.raw()).unwrap().clone();
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(mgr.evict_idle(Duration::ZERO), vec![id]);
         assert_eq!(mgr.session_count(), 0);
@@ -415,7 +397,7 @@ mod tests {
         let w = workload(1);
         let mgr = SessionManager::new();
         let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..(mgr.shard_count() * 3) {
+        for _ in 0..200 {
             assert!(seen.insert(mgr.open(ServeConfig::default(), &w).unwrap()));
         }
         assert_eq!(mgr.session_count(), seen.len());

@@ -25,7 +25,11 @@
 //! (`u64` id + JSON final update), `0x84 PONG`, `0x7F ERROR`
 //! (code byte + UTF-8 detail).
 //!
-//! The server runs one blocking handler thread per connection. Each
+//! [`replay_remote`] is the one client loop that streams a workload over
+//! this grammar, for the CLI, the bench and the loopback test alike.
+//!
+//! The server runs one blocking handler thread per connection, joined
+//! by the accept loop once its connection ends. Each
 //! connection owns an [`SloWatchdog`]: ingest wall times are cut into
 //! rolling windows and the watchdog's [`SloVerdict`] (rolling p99 vs
 //! the per-chunk budget) drives the pressure byte of every `UPDATE` —
@@ -37,14 +41,14 @@
 use crate::error::ServeError;
 use crate::manager::{SessionId, SessionManager};
 use crate::session::{ServeConfig, SubsetUpdate};
-use crate::telemetry::{SloPolicy, SloWatchdog, INGEST_HISTOGRAM};
+use crate::telemetry::{SloPolicy, SloWatchdog};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use subset3d_obs::timeseries::{RollingDigest, TelemetryWindow};
 use subset3d_obs::{LazyCounter, LazyHistogram};
 use subset3d_trace::{
     decode_frames, decode_workload, encode_frames, encode_workload, Frame, Workload,
@@ -239,7 +243,7 @@ pub struct NetServerHandle {
     manager: Arc<SessionManager>,
     shutdown: Arc<AtomicBool>,
     counters: Arc<Counters>,
-    thread: std::thread::JoinHandle<NetStats>,
+    thread: JoinHandle<NetStats>,
 }
 
 impl NetServerHandle {
@@ -356,6 +360,7 @@ impl NetServer {
 
         let mut handlers = Vec::new();
         loop {
+            reap_finished(&mut handlers);
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     self.counters.connections.fetch_add(1, Ordering::Relaxed);
@@ -364,9 +369,14 @@ impl NetServer {
                     let config = self.config.clone();
                     let shutdown = Arc::clone(&self.shutdown);
                     let counters = Arc::clone(&self.counters);
-                    handlers.push(std::thread::spawn(move || {
+                    let spawned = std::thread::Builder::new().spawn(move || {
                         handle_connection(stream, &manager, &config, &shutdown, &counters);
-                    }));
+                    });
+                    // A thread the OS refuses drops the connection (the
+                    // stream closes with the closure), never the loop.
+                    if let Ok(handler) = spawned {
+                        handlers.push(handler);
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     if self.shutdown.load(Ordering::SeqCst) {
@@ -393,9 +403,22 @@ impl NetServer {
     }
 }
 
+/// Joins every handler whose connection has ended, so a long-lived
+/// listener keeps threads (and their stacks) for live connections only.
+fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handlers.len() {
+        if handlers[i].is_finished() {
+            let _ = handlers.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
 /// Per-connection backpressure: exact ingest wall times are cut into
-/// rolling windows and fed to an [`SloWatchdog`], whose verdict maps to
-/// the pressure byte. Window state is connection-local, so the policy
+/// rolling windows whose p99 an [`SloWatchdog`] judges; its verdict maps
+/// to the pressure byte. Window state is connection-local, so the policy
 /// is deterministic and independent of the process-global metrics flag.
 struct ConnectionWatch {
     policy: BackpressurePolicy,
@@ -427,24 +450,9 @@ impl ConnectionWatch {
             }
             let mut samples: Vec<u64> = self.recent.iter().flatten().copied().collect();
             samples.sort_unstable();
-            let pct = |p: f64| {
-                let idx = (p / 100.0 * (samples.len() - 1) as f64).round() as usize;
-                samples[idx.min(samples.len() - 1)]
-            };
-            let digest = RollingDigest {
-                windows: self.recent.len(),
-                count: samples.len() as u64,
-                p50_ns: pct(50.0),
-                p90_ns: pct(90.0),
-                p99_ns: pct(99.0),
-            };
-            let window = TelemetryWindow {
-                rolling: [(INGEST_HISTOGRAM.to_owned(), digest)]
-                    .into_iter()
-                    .collect(),
-                ..TelemetryWindow::default()
-            };
-            self.watchdog.observe(&window);
+            // Nearest rank; the window just cut holds at least this sample.
+            let idx = (0.99 * (samples.len() - 1) as f64).round() as usize;
+            self.watchdog.judge(samples[idx.min(samples.len() - 1)]);
             self.last_cut = Instant::now();
         }
         let verdict = self.watchdog.verdict();
@@ -949,6 +957,77 @@ impl NetClient {
     }
 }
 
+/// Everything [`replay_remote`] read back from a listener.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RemoteReplay {
+    /// Per-session, per-chunk `UPDATE`s (`updates[session][chunk]`). A
+    /// shed session's list ends at the `UPDATE` that carried
+    /// [`Pressure::Shed`].
+    pub updates: Vec<Vec<NetUpdate>>,
+    /// Each session's final state: the `CLOSED` reply, or the shed report
+    /// of a session the server closed itself.
+    pub finals: Vec<SubsetUpdate>,
+    /// Round-trip time of every `INGEST`, nanoseconds, in stream order.
+    pub wire_ns: Vec<u64>,
+    /// Wall time from the first connect to the last close, nanoseconds.
+    pub wall_ns: u64,
+}
+
+/// Streams `workload` to the listener at `addr` once per session, one
+/// session after another: each connects, opens, ingests
+/// `chunk_frames`-frame chunks (clamped to at least 1) and closes. A shed
+/// session stops at the chunk that shed it, with no `CLOSE` (the server
+/// already closed it); later sessions still stream.
+///
+/// # Errors
+///
+/// Returns [`ServeError::InvalidConfig`] for zero sessions, and the first
+/// I/O failure or server-side rejection ([`ServeError::Remote`]).
+pub fn replay_remote(
+    addr: &str,
+    workload: &Workload,
+    sessions: usize,
+    chunk_frames: usize,
+) -> Result<RemoteReplay, ServeError> {
+    if sessions == 0 {
+        return Err(ServeError::InvalidConfig {
+            reason: "replay needs at least one session".into(),
+        });
+    }
+    let elapsed_ns = |since: Instant| u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let started = Instant::now();
+    let mut replay = RemoteReplay {
+        updates: Vec::with_capacity(sessions),
+        finals: Vec::with_capacity(sessions),
+        wire_ns: Vec::new(),
+        wall_ns: 0,
+    };
+    for _ in 0..sessions {
+        let mut client = NetClient::connect(addr)?;
+        let session = client.open(workload)?;
+        let mut updates = Vec::new();
+        let mut shed_report = None;
+        for chunk in workload.frames().chunks(chunk_frames.max(1)) {
+            let start = Instant::now();
+            let got = client.ingest(session, chunk)?;
+            replay.wire_ns.push(elapsed_ns(start));
+            shed_report = got.shed_report.clone();
+            updates.push(got);
+            if shed_report.is_some() {
+                break;
+            }
+        }
+        let final_update = match shed_report {
+            Some(report) => report,
+            None => client.close(session)?,
+        };
+        replay.updates.push(updates);
+        replay.finals.push(final_update);
+    }
+    replay.wall_ns = elapsed_ns(started);
+    Ok(replay)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1089,6 +1168,41 @@ mod tests {
         assert!(matches!(err, ServeError::Remote { code, .. } if code == 2));
         let stats = server.stop();
         assert_eq!(stats.sessions_shed, 1);
+        assert_eq!(stats.protocol_errors, 0);
+    }
+
+    #[test]
+    fn remote_replay_stops_each_shed_session_and_streams_the_next() {
+        let w = workload(8);
+        let server = spawn_server(NetServerConfig {
+            backpressure: Some(BackpressurePolicy {
+                budget_ns: 1,
+                throttle_after: 1,
+                shed_after: 3,
+                sample_interval: Duration::ZERO,
+                rolling_windows: 8,
+            }),
+            ..NetServerConfig::default()
+        });
+        let remote = replay_remote(&server.addr().to_string(), &w, 2, 2).unwrap();
+        assert_eq!(remote.updates.len(), 2);
+        for (updates, shed) in remote.updates.iter().zip(&remote.finals) {
+            let pressures: Vec<Pressure> = updates.iter().map(|u| u.pressure).collect();
+            assert_eq!(
+                pressures,
+                [Pressure::Throttle, Pressure::Throttle, Pressure::Shed]
+            );
+            assert_eq!(updates[2].shed_report.as_ref(), Some(shed));
+            assert_eq!(shed.frames_seen, 6);
+        }
+        assert_eq!(remote.wire_ns.len(), 6);
+        assert_eq!(server.manager().session_count(), 0);
+        assert!(matches!(
+            replay_remote(&server.addr().to_string(), &w, 0, 2),
+            Err(ServeError::InvalidConfig { .. })
+        ));
+        let stats = server.stop();
+        assert_eq!(stats.sessions_shed, 2);
         assert_eq!(stats.protocol_errors, 0);
     }
 
@@ -1287,6 +1401,24 @@ mod tests {
         // A disconnect at a message boundary is NOT a protocol error.
         let stats = server.stop();
         assert_eq!(stats.protocol_errors, 0);
+    }
+
+    #[test]
+    fn reaping_joins_finished_handlers_and_keeps_live_ones() {
+        let (release, blocked) = std::sync::mpsc::channel::<()>();
+        let mut handlers: Vec<JoinHandle<()>> = (0..3).map(|_| std::thread::spawn(|| {})).collect();
+        handlers.push(std::thread::spawn(move || {
+            let _ = blocked.recv();
+        }));
+        wait_for(
+            || handlers[..3].iter().all(JoinHandle::is_finished),
+            "the short-lived handlers to exit",
+        );
+        reap_finished(&mut handlers);
+        assert_eq!(handlers.len(), 1, "only the blocked handler is live");
+        assert!(!handlers[0].is_finished());
+        release.send(()).unwrap();
+        handlers.pop().unwrap().join().unwrap();
     }
 
     // ---- framing unit tests (no sockets) -----------------------------

@@ -68,9 +68,6 @@ pub struct ServeConfig {
     pub reservoir_capacity: usize,
     /// RLS forgetting factor in `(0, 1]`; `1.0` weighs the whole stream.
     pub rls_forgetting: f64,
-    /// Documented bound on `|error bound − batch mean error|` after a full
-    /// drain; the streaming oracle enforces it.
-    pub drift_bound: f64,
     /// Whether the session keeps every frame's [`FrameClustering`] for the
     /// drain report (the differential oracle needs them; live services
     /// should leave this off).
@@ -84,7 +81,6 @@ impl Default for ServeConfig {
             arch: ArchConfig::baseline(),
             reservoir_capacity: DEFAULT_RESERVOIR_CAPACITY,
             rls_forgetting: 1.0,
-            drift_bound: DEFAULT_DRIFT_BOUND,
             retain_frame_fits: false,
         }
     }
@@ -96,8 +92,8 @@ impl ServeConfig {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] for an invalid subset
-    /// configuration, a zero reservoir, a forgetting factor outside
-    /// `(0, 1]`, or a non-positive drift bound.
+    /// configuration, a zero reservoir, or a forgetting factor outside
+    /// `(0, 1]`.
     pub fn validate(&self) -> Result<(), ServeError> {
         self.subset.validate()?;
         if self.reservoir_capacity == 0 {
@@ -108,11 +104,6 @@ impl ServeConfig {
         if !(self.rls_forgetting > 0.0 && self.rls_forgetting <= 1.0) {
             return Err(ServeError::InvalidConfig {
                 reason: "rls forgetting factor must be in (0, 1]".into(),
-            });
-        }
-        if self.drift_bound.is_nan() || self.drift_bound <= 0.0 {
-            return Err(ServeError::InvalidConfig {
-                reason: "drift bound must be positive".into(),
             });
         }
         Ok(())
@@ -378,7 +369,7 @@ impl Session {
     /// The RLS error bound: the online model evaluated at the running
     /// feature mean, clamped non-negative. With forgetting factor 1 and a
     /// weak prior this tracks the stream's mean observed error to within
-    /// the documented [`ServeConfig::drift_bound`].
+    /// the documented [`DEFAULT_DRIFT_BOUND`].
     pub fn error_bound(&self) -> f64 {
         if self.frame_ids.is_empty() {
             return 0.0;
@@ -553,11 +544,6 @@ mod tests {
         ));
         let bad = ServeConfig {
             rls_forgetting: 0.0,
-            ..ServeConfig::default()
-        };
-        assert!(Session::new(bad, &w).is_err());
-        let bad = ServeConfig {
-            drift_bound: 0.0,
             ..ServeConfig::default()
         };
         assert!(Session::new(bad, &w).is_err());

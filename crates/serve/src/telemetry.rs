@@ -24,10 +24,10 @@ use subset3d_obs::{LazyCounter, MetricsSnapshot};
 static OBS_SLO_VIOLATIONS: LazyCounter = LazyCounter::new("serve.slo.violations");
 
 /// The global ingest latency histogram's registry name.
-pub(crate) const INGEST_HISTOGRAM: &str = "serve.ingest_ns";
+const INGEST_HISTOGRAM: &str = "serve.ingest_ns";
 
 /// The per-session ingest latency family's registry name.
-pub(crate) const SESSION_INGEST_PREFIX: &str = "serve.session.ingest_ns{";
+const SESSION_INGEST_PREFIX: &str = "serve.session.ingest_ns{";
 
 /// How a replay samples telemetry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,12 +111,18 @@ impl SloWatchdog {
             })
             .map(|(_, digest)| digest.p99_ns)
             .max();
-        let Some(p99) = p99 else {
-            return;
-        };
+        if let Some(p99) = p99 {
+            self.judge(p99);
+        }
+    }
+
+    /// Counts one evaluated rolling p99 ingest latency against the
+    /// budget — the step [`SloWatchdog::observe`] takes per window, and
+    /// the one a net connection's backpressure takes per cut.
+    pub(crate) fn judge(&mut self, p99_ns: u64) {
         self.windows_evaluated += 1;
-        self.worst_p99_ns = self.worst_p99_ns.max(p99);
-        if p99 > self.policy.budget_ns {
+        self.worst_p99_ns = self.worst_p99_ns.max(p99_ns);
+        if p99_ns > self.policy.budget_ns {
             self.violations += 1;
             OBS_SLO_VIOLATIONS.incr();
         }

@@ -10,8 +10,8 @@
 //!   prediction error matches [`WorkloadEvaluation::mean_prediction_error`]
 //!   bit for bit — at any chunk size.
 //! * **Bounded drift** otherwise: the fit partitions the reservoir sample
-//!   and the RLS error bound stays within [`ServeConfig::drift_bound`] of
-//!   the batch mean error.
+//!   and the RLS error bound stays within [`DEFAULT_DRIFT_BOUND`] of the
+//!   batch mean error.
 //!
 //! [`run_streaming_oracle`] enforces the first half, [`run_drift_check`]
 //! the second; both return `Result<(), String>` so they slot into plain
@@ -24,7 +24,7 @@
 
 use subset3d_core::{SubsetConfig, Subsetter};
 use subset3d_gpusim::{ArchConfig, Simulator};
-use subset3d_serve::{replay, ReplayOptions, ServeConfig, SessionReport};
+use subset3d_serve::{replay, ReplayOptions, ServeConfig, SessionReport, DEFAULT_DRIFT_BOUND};
 use subset3d_trace::Workload;
 
 /// Chunk sizes the oracle matrix sweeps. Sizes at or above the corpus
@@ -139,13 +139,13 @@ pub fn run_streaming_oracle(
             ));
         }
         let drift = (report.final_update.error_bound - batch_error).abs();
-        if drift > config.drift_bound {
+        if drift > DEFAULT_DRIFT_BOUND {
             return Err(format!(
                 "[{ctx}] error bound {} drifted {drift:e} from batch mean \
                  error {} (bound {})",
                 bits(report.final_update.error_bound),
                 bits(batch_error),
-                config.drift_bound
+                DEFAULT_DRIFT_BOUND
             ));
         }
         // Sessions fed identical streams may never disagree.
@@ -160,7 +160,7 @@ pub fn run_streaming_oracle(
 /// than the corpus the drained fit must still be a valid partition of
 /// exactly `capacity` retained frames, the (reservoir-independent)
 /// running error mean must still match batch bit for bit, and the error
-/// bound must stay within the configured drift bound.
+/// bound must stay within [`DEFAULT_DRIFT_BOUND`].
 ///
 /// # Errors
 ///
@@ -208,13 +208,13 @@ pub fn run_drift_check(
         ));
     }
     let drift = (report.final_update.error_bound - batch_error).abs();
-    if drift > config.drift_bound {
+    if drift > DEFAULT_DRIFT_BOUND {
         return Err(format!(
             "[{ctx}] error bound {} drifted {drift:e} from batch mean error \
              {} (bound {})",
             bits(report.final_update.error_bound),
             bits(batch_error),
-            config.drift_bound
+            DEFAULT_DRIFT_BOUND
         ));
     }
     Ok(())

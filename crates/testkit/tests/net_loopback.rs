@@ -10,7 +10,7 @@
 //! changed observable results — never acceptable for a transport layer.
 
 use subset3d_serve::{
-    replay, NetClient, NetServer, NetServerConfig, Pressure, ReplayOptions, ServeConfig,
+    replay, replay_remote, NetServer, NetServerConfig, Pressure, ReplayOptions, ServeConfig,
     SubsetUpdate,
 };
 use subset3d_testkit::corpus::golden_corpus;
@@ -70,12 +70,17 @@ fn loopback_stream_reproduces_in_process_replay_bit_for_bit() {
             )
             .expect("in-process replay");
 
+            let remote = replay_remote(&addr, &workload, LOOPBACK_SESSIONS, chunk_frames)
+                .expect("wire replay");
             for (session_idx, expected_updates) in reference.updates.iter().enumerate() {
                 let context = format!("{name}/chunk{chunk_frames}/session{session_idx}");
-                let mut client = NetClient::connect(&addr).expect("connect");
-                let session = client.open(&workload).expect("open");
-                for (chunk_idx, chunk) in workload.frames().chunks(chunk_frames).enumerate() {
-                    let got = client.ingest(session, chunk).expect("wire ingest");
+                let wire_updates = &remote.updates[session_idx];
+                assert_eq!(
+                    wire_updates.len(),
+                    expected_updates.len(),
+                    "{context}: every chunk answered"
+                );
+                for (chunk_idx, got) in wire_updates.iter().enumerate() {
                     assert_eq!(
                         got.pressure,
                         Pressure::Nominal,
@@ -87,10 +92,9 @@ fn loopback_stream_reproduces_in_process_replay_bit_for_bit() {
                         &expected_updates[chunk_idx],
                     );
                 }
-                let final_update = client.close(session).expect("close");
                 assert_updates_bit_identical(
                     &format!("{context}/final"),
-                    &final_update,
+                    &remote.finals[session_idx],
                     &reference.reports[session_idx].final_update,
                 );
             }
