@@ -16,7 +16,9 @@
 use crate::bic::select_k_bic;
 use crate::clustering::Clustering;
 use crate::hierarchical::{Hierarchical, Linkage};
-use crate::incremental::{IncrementalFit, OnlineKMeans, ReservoirIncremental};
+use crate::incremental::{
+    IncrementalFit, OnlineKMeans, ReservoirIncremental, ThresholdIncremental,
+};
 use crate::kmeans::KMeans;
 use crate::medoid::medoid_of;
 use crate::points::Points;
@@ -143,17 +145,19 @@ pub fn canonical_order(points: Points<'_>) -> Vec<usize> {
     let mut order: Vec<usize> = (0..points.len()).collect();
     // The index tie-break makes the order total, so an unstable sort
     // yields the one sorted permutation.
-    order.sort_unstable_by(|&a, &b| {
-        points
-            .row(a)
-            .iter()
-            .zip(points.row(b))
-            .map(|(x, y)| x.total_cmp(y))
-            .find(|c| c.is_ne())
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
+    order.sort_unstable_by(|&a, &b| canonical_cmp((points.row(a), a), (points.row(b), b)));
     order
+}
+
+/// The comparison behind [`canonical_order`]: rows lexicographically
+/// under `f64::total_cmp`, then their indices.
+pub(crate) fn canonical_cmp(a: (&[f64], usize), b: (&[f64], usize)) -> std::cmp::Ordering {
+    a.0.iter()
+        .zip(b.0)
+        .map(|(x, y)| x.total_cmp(y))
+        .find(|c| c.is_ne())
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(a.1.cmp(&b.1))
 }
 
 /// Builds a fit from a partition by electing each cluster's medoid as its
@@ -196,7 +200,7 @@ impl Subsetter for ThresholdSubsetter {
     }
 
     fn incremental(&self, capacity: usize, seed: u64) -> Box<dyn IncrementalFit> {
-        Box::new(ReservoirIncremental::new(*self, capacity, seed))
+        Box::new(ThresholdIncremental::new(self.distance, capacity, seed))
     }
 }
 

@@ -6,7 +6,7 @@ use subset3d_cluster::{
     KMeansSubsetter, PcaAggloSubsetter, Points, StratifiedSubsetter, Subsetter as SubsetterBackend,
     ThresholdSubsetter,
 };
-use subset3d_features::extract_frame_features;
+use subset3d_features::{extract_frame_features, FeatureMatrix};
 use subset3d_obs::LazyHistogram;
 use subset3d_trace::{Frame, Workload};
 
@@ -35,8 +35,9 @@ impl DrawCluster {
     }
 }
 
-/// The clustering of one frame's draws.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The clustering of one frame's draws. The default is an empty frame's:
+/// no clusters.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FrameClustering {
     /// The clusters, in creation order.
     pub clusters: Vec<DrawCluster>,
@@ -116,7 +117,16 @@ pub fn subsetter_for(method: &ClusterMethod, seed: u64) -> Box<dyn SubsetterBack
 /// assert_eq!(p.len(), config.features.len());
 /// ```
 pub fn frame_feature_point(frame: &Frame, workload: &Workload, config: &SubsetConfig) -> Vec<f64> {
-    let matrix = extract_frame_features(frame, workload, config.features.clone());
+    column_means(&extract_frame_features(
+        frame,
+        workload,
+        config.features.clone(),
+    ))
+}
+
+/// The per-column means of a raw feature matrix, summed down the rows in
+/// order; the zero vector for a matrix with no rows.
+fn column_means(matrix: &FeatureMatrix) -> Vec<f64> {
     let mut means = vec![0.0f64; matrix.cols()];
     if matrix.rows() == 0 {
         return means;
@@ -151,12 +161,48 @@ pub fn frame_feature_point(frame: &Frame, workload: &Workload, config: &SubsetCo
 /// assert!(fc.efficiency() > 0.0);
 /// ```
 pub fn cluster_frame(frame: &Frame, workload: &Workload, config: &SubsetConfig) -> FrameClustering {
-    let draw_count = frame.draw_count();
-    if draw_count == 0 {
-        return FrameClustering {
-            clusters: Vec::new(),
-            draw_count: 0,
-        };
+    match extract(frame, workload, config) {
+        Some(matrix) => cluster_features(matrix, config),
+        None => FrameClustering::default(),
+    }
+}
+
+/// [`cluster_frame`] and [`frame_feature_point`] from one feature
+/// extraction: the point is the raw matrix's column means, taken before
+/// the clustering normalises it. Bit-identical to calling both.
+///
+/// # Examples
+///
+/// ```
+/// use subset3d_core::{cluster_frame, cluster_frame_with_point, frame_feature_point, SubsetConfig};
+/// use subset3d_trace::gen::GameProfile;
+///
+/// let w = GameProfile::shooter("g").frames(1).draws_per_frame(50).build(1).generate();
+/// let (frame, config) = (&w.frames()[0], SubsetConfig::default());
+/// let (clustering, point) = cluster_frame_with_point(frame, &w, &config);
+/// assert_eq!(clustering, cluster_frame(frame, &w, &config));
+/// assert_eq!(point, frame_feature_point(frame, &w, &config));
+/// ```
+pub fn cluster_frame_with_point(
+    frame: &Frame,
+    workload: &Workload,
+    config: &SubsetConfig,
+) -> (FrameClustering, Vec<f64>) {
+    match extract(frame, workload, config) {
+        Some(matrix) => {
+            let point = column_means(&matrix);
+            (cluster_features(matrix, config), point)
+        }
+        None => (FrameClustering::default(), vec![0.0; config.features.len()]),
+    }
+}
+
+/// The raw feature matrix of a frame with draws, extracted under the
+/// `pipeline.feature_extraction` span; starts the frame's `frame.link`
+/// flow arrow. `None` for an empty frame.
+fn extract(frame: &Frame, workload: &Workload, config: &SubsetConfig) -> Option<FeatureMatrix> {
+    if frame.draw_count() == 0 {
+        return None;
     }
     let feature_span = subset3d_obs::span(&OBS_FEATURES);
     let t_features = subset3d_obs::trace_span_arg(
@@ -165,11 +211,18 @@ pub fn cluster_frame(frame: &Frame, workload: &Workload, config: &SubsetConfig) 
         "frame",
         u64::from(frame.id.raw()),
     );
-    let mut matrix = extract_frame_features(frame, workload, config.features.clone());
+    let matrix = extract_frame_features(frame, workload, config.features.clone());
     // Tail of the flow arrow this frame's `frame.simulate` span completes.
     subset3d_obs::trace_flow_start("pipeline", "frame.link", u64::from(frame.id.raw()));
     t_features.end();
     feature_span.end();
+    Some(matrix)
+}
+
+/// Normalises a frame's raw feature matrix and fits the configured
+/// backend over it.
+fn cluster_features(mut matrix: FeatureMatrix, config: &SubsetConfig) -> FrameClustering {
+    let draw_count = matrix.rows();
     matrix.normalize(config.normalization);
     if config.cost_weighting {
         matrix.apply_cost_weights();

@@ -70,7 +70,8 @@ pub use crossframe::{
     GlobalPrediction,
 };
 pub use drawcluster::{
-    cluster_frame, frame_feature_point, subsetter_for, DrawCluster, FrameClustering,
+    cluster_frame, cluster_frame_with_point, frame_feature_point, subsetter_for, DrawCluster,
+    FrameClustering,
 };
 pub use error::SubsetError;
 pub use interval::{interval_signatures, FrameInterval};

@@ -249,6 +249,13 @@ impl SessionManager {
         evicted
     }
 
+    /// Holds a session's entry the way a concurrent ingest does, so that
+    /// [`SessionManager::close`] finds it busy until the guard drops.
+    #[cfg(test)]
+    pub(crate) fn hold(&self, id: SessionId) -> Result<impl Sized, ServeError> {
+        self.session(id)
+    }
+
     /// Closes a session and drains its final report.
     ///
     /// # Errors

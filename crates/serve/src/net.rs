@@ -34,7 +34,8 @@
 //! rolling windows and the watchdog's [`SloVerdict`] (rolling p99 vs
 //! the per-chunk budget) drives the pressure byte of every `UPDATE` —
 //! `1` asks the producer to throttle, `2` sheds the session (the server
-//! force-closes it and follows with `CLOSED`). A janitor thread evicts
+//! force-closes it and follows with `CLOSED`, or with the close's `ERROR`
+//! when another holder keeps the session open). A janitor thread evicts
 //! sessions idle past [`NetServerConfig::session_ttl`], so streams
 //! orphaned by a dropped connection release their reservoir memory.
 
@@ -548,30 +549,35 @@ fn handle_message(
         }
         MSG_INGEST => {
             let (id, rest) = split_session_id(payload)?;
+            let t_decode = subset3d_obs::trace_span("serve", "net.decode");
             let frames = decode_frames(rest).map_err(|e| ServeError::Protocol {
                 detail: format!("undecodable INGEST frames: {e}"),
             })?;
+            t_decode.end();
             let start = Instant::now();
             let update = manager.ingest(id, &frames)?;
             let ingest_ns = start.elapsed().as_nanos() as u64;
             let pressure = watch.map_or(Pressure::Nominal, |w| w.record(ingest_ns));
+            let t_encode = subset3d_obs::trace_span("serve", "net.encode");
             let mut reply = id.raw().to_le_bytes().to_vec();
             reply.push(pressure.to_byte());
             reply.extend_from_slice(&encode_update(&update)?);
+            t_encode.end();
             write_message(stream, MSG_UPDATE, &reply)?;
             match pressure {
                 Pressure::Throttle => OBS_NET_THROTTLES.incr(),
                 Pressure::Shed => {
                     // The producer is hopelessly over cadence: close the
-                    // session and say so. A concurrent holder (busy) just
-                    // postpones the shed to the TTL janitor.
-                    if let Ok(report) = manager.close(id) {
-                        counters.sessions_shed.fetch_add(1, Ordering::Relaxed);
-                        OBS_NET_SHEDS.incr();
-                        let mut closed = id.raw().to_le_bytes().to_vec();
-                        closed.extend_from_slice(&encode_update(&report.final_update)?);
-                        write_message(stream, MSG_CLOSED, &closed)?;
-                    }
+                    // session and say so. A close that fails — another
+                    // connection's ingest holds the session, or the janitor
+                    // evicted it — is answered with its ERROR instead of
+                    // CLOSED; the client waits for one or the other.
+                    let report = manager.close(id)?;
+                    counters.sessions_shed.fetch_add(1, Ordering::Relaxed);
+                    OBS_NET_SHEDS.incr();
+                    let mut closed = id.raw().to_le_bytes().to_vec();
+                    closed.extend_from_slice(&encode_update(&report.final_update)?);
+                    write_message(stream, MSG_CLOSED, &closed)?;
                 }
                 Pressure::Nominal => {}
             }
@@ -691,9 +697,11 @@ enum ReadOutcome {
     Shutdown,
 }
 
-/// Fills `buf`, retrying timeout wakeups; a half-filled buffer at EOF is
-/// a truncation ([`ServeError::Protocol`]), zero bytes is a clean
-/// [`ReadOutcome::Eof`].
+/// Fills `buf`; a half-filled buffer at EOF is a truncation
+/// ([`ServeError::Protocol`]), zero bytes is a clean [`ReadOutcome::Eof`].
+/// With a `shutdown` flag, a read timeout is the server's poll tick: the
+/// flag is checked and the read retried. Without one, a timeout is the
+/// caller's own deadline and fails the read.
 fn read_full(
     reader: &mut impl Read,
     buf: &mut [u8],
@@ -715,10 +723,11 @@ fn read_full(
             }
             Ok(n) => filled += n,
             Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
+                if shutdown.is_some()
+                    && matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
             {
                 if shutdown.is_some_and(|s| s.load(Ordering::SeqCst)) {
                     return Ok(ReadOutcome::Shutdown);
@@ -891,7 +900,8 @@ impl NetClient {
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures and server-side rejections.
+    /// Propagates I/O failures and server-side rejections, among them a
+    /// shed whose server-side close failed ([`ServeError::Remote`]).
     pub fn ingest(&mut self, session: u64, frames: &[Frame]) -> Result<NetUpdate, ServeError> {
         let mut payload = session.to_le_bytes().to_vec();
         payload.extend_from_slice(&encode_frames(frames));
@@ -1168,6 +1178,93 @@ mod tests {
         assert!(matches!(err, ServeError::Remote { code, .. } if code == 2));
         let stats = server.stop();
         assert_eq!(stats.sessions_shed, 1);
+        assert_eq!(stats.protocol_errors, 0);
+    }
+
+    /// A client whose replies time out instead of hanging a test.
+    fn bounded_client(addr: &str) -> NetClient {
+        let client = NetClient::connect(addr).expect("connect");
+        client
+            .stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        client
+    }
+
+    #[test]
+    fn shed_reply_followed_by_an_error_is_a_remote_error() {
+        // A scripted peer: handshake, one INGEST, a shed UPDATE, then the
+        // ERROR a failed close sends in place of CLOSED.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            let mut hello = [0u8; 5];
+            stream.read_exact(&mut hello).expect("hello");
+            let (ty, _) = read_message(&mut stream, DEFAULT_MAX_MESSAGE_BYTES, None)
+                .expect("read")
+                .expect("an INGEST");
+            assert_eq!(ty, MSG_INGEST);
+            let update = SubsetUpdate {
+                chunks_ingested: 1,
+                frames_seen: 0,
+                draws_seen: 0,
+                cluster_count: 0,
+                representative_frames: Vec::new(),
+                mean_prediction_error: 0.0,
+                mean_efficiency: 0.0,
+                error_bound: 0.0,
+                reservoir_occupancy: 0,
+                reservoir_capacity: 1,
+            };
+            let mut reply = 7u64.to_le_bytes().to_vec();
+            reply.push(Pressure::Shed.to_byte());
+            reply.extend_from_slice(&encode_update(&update).expect("encode"));
+            write_message(&mut stream, MSG_UPDATE, &reply).expect("UPDATE");
+            send_error(&mut stream, &ServeError::SessionBusy { id: 7 }).expect("ERROR");
+        });
+        let mut client = bounded_client(&addr);
+        let err = client.ingest(7, &[]).unwrap_err();
+        assert!(
+            matches!(err, ServeError::Remote { code, .. } if code == CODE_SESSION_BUSY),
+            "expected the busy code, got {err:?}"
+        );
+        peer.join().expect("peer");
+    }
+
+    #[test]
+    fn shed_whose_close_fails_answers_with_an_error() {
+        let w = workload(4);
+        // Every window violates the 1 ns budget: the first ingest sheds.
+        let server = spawn_server(NetServerConfig {
+            backpressure: Some(BackpressurePolicy {
+                budget_ns: 1,
+                throttle_after: 1,
+                shed_after: 1,
+                sample_interval: Duration::ZERO,
+                rolling_windows: 8,
+            }),
+            ..NetServerConfig::default()
+        });
+        let mut client = bounded_client(&server.addr().to_string());
+        let session = client.open(&w).unwrap();
+        // Held the way a concurrent ingest holds it, the session cannot
+        // be closed when the shed tries to.
+        let held = server.manager().hold(SessionId::from_raw(session)).unwrap();
+        let err = client.ingest(session, &w.frames()[..2]).unwrap_err();
+        assert!(
+            matches!(err, ServeError::Remote { code, .. } if code == CODE_SESSION_BUSY),
+            "expected the busy code, got {err:?}"
+        );
+        drop(held);
+        // The error was per request: the connection and session survive.
+        client.ping().unwrap();
+        assert_eq!(client.close(session).unwrap().frames_seen, 2);
+        let stats = server.stop();
+        assert_eq!(stats.sessions_shed, 0);
         assert_eq!(stats.protocol_errors, 0);
     }
 

@@ -3,7 +3,8 @@
 //! A [`Session`] ingests a frame stream chunk by chunk and maintains:
 //!
 //! * an [`IncrementalFit`] over per-frame feature points
-//!   ([`subset3d_core::frame_feature_point`]) — the online counterpart of
+//!   ([`subset3d_core::frame_feature_point`], taken from the extraction
+//!   that clusters the frame) — the online counterpart of
 //!   [`subset3d_core::Subsetter::global_fit`];
 //! * per-frame prediction quality (clustering each frame exactly as the
 //!   batch pipeline does, simulating it, and scoring the prediction);
@@ -23,9 +24,7 @@
 use crate::error::ServeError;
 use serde::{Deserialize, Serialize};
 use subset3d_cluster::{IncrementalFit, Points, SubsetterFit};
-use subset3d_core::{
-    cluster_frame, frame_feature_point, predict_frame, FrameClustering, SubsetConfig,
-};
+use subset3d_core::{cluster_frame_with_point, predict_frame, FrameClustering, SubsetConfig};
 use subset3d_gpusim::{ArchConfig, Simulator};
 use subset3d_obs::{LazyCounter, LazyHistogram};
 use subset3d_stats::Rls;
@@ -297,9 +296,17 @@ impl Session {
         let span = subset3d_obs::span(&OBS_INGEST);
         let t_chunk =
             subset3d_obs::trace_span_arg("serve", "serve.ingest", "frames", frames.len() as u64);
-        for frame in frames {
-            self.ingest_frame(frame)?;
-        }
+        // The chunk's frame points reach the global fit in one ingest, so
+        // it re-elects each changed medoid once per chunk.
+        let dim = self.config.subset.features.len();
+        let mut points = Vec::with_capacity(frames.len() * dim);
+        let ingested = frames
+            .iter()
+            .try_for_each(|frame| self.ingest_frame(frame, &mut points));
+        let t_refit = subset3d_obs::trace_span("serve", "serve.refit");
+        self.incremental.ingest(Points::new(&points, dim));
+        t_refit.end();
+        ingested?;
         self.chunks_ingested += 1;
         OBS_CHUNKS.incr();
         t_chunk.end();
@@ -307,10 +314,13 @@ impl Session {
         Ok(self.update())
     }
 
-    fn ingest_frame(&mut self, frame: &Frame) -> Result<(), ServeError> {
+    /// Ingests one frame and appends its feature point to `points`.
+    fn ingest_frame(&mut self, frame: &Frame, points: &mut Vec<f64>) -> Result<(), ServeError> {
         // Mirror the batch pipeline exactly: cluster the frame, simulate
-        // it, score the prediction.
-        let clustering = cluster_frame(frame, &self.tables, &self.config.subset);
+        // it, score the prediction. The frame's feature point comes from
+        // the same extraction.
+        let (clustering, point) =
+            cluster_frame_with_point(frame, &self.tables, &self.config.subset);
         let t_frame = subset3d_obs::trace_span_arg(
             "serve",
             "frame.simulate",
@@ -337,9 +347,7 @@ impl Session {
         }
         self.rls.update(&x, error);
 
-        let point = frame_feature_point(frame, &self.tables, &self.config.subset);
-        self.incremental.ingest(Points::new(&point, point.len()));
-
+        points.extend(point);
         self.frame_ids.push(frame.id.raw());
         self.draws_seen += draws;
         if self.config.retain_frame_fits {
@@ -441,6 +449,7 @@ fn rls_features(efficiency: f64, draws: usize, clusters: usize) -> [f64; RLS_DIM
 #[cfg(test)]
 mod tests {
     use super::*;
+    use subset3d_core::cluster_frame;
     use subset3d_trace::gen::GameProfile;
 
     fn workload(frames: usize) -> Workload {

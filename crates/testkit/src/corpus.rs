@@ -1,4 +1,5 @@
-//! The fixed-seed workload corpus the harness runs against.
+//! The fixed-seed workload corpus the harness runs against, and the
+//! hostile point sets the threshold-fit tests run against.
 //!
 //! Seeds and shapes are deliberately frozen: the oracle matrix, the golden
 //! snapshots and the tier-1 `oracle_divergence` test all assume these
@@ -68,6 +69,64 @@ pub fn golden_corpus() -> Vec<(&'static str, Workload)> {
             )
         })
         .collect()
+}
+
+/// Values a coordinate of [`hostile_rows`] takes instead of a grid value,
+/// at the case's special rate.
+pub const SPECIALS: [f64; 5] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+
+/// SplitMix64: expands one case seed into a point set.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// Hostile input for the threshold fit: `n` rows of `dim` coordinates on a
+/// coarse grid scaled by `spread`, so distances straddle the 1.02
+/// threshold. About a quarter of the rows repeat an earlier row, another
+/// quarter repeat only its coordinate 0, and `special_per_mille` of the
+/// fresh coordinates are [`SPECIALS`].
+pub fn hostile_rows(
+    seed: u64,
+    n: usize,
+    dim: usize,
+    spread: f64,
+    special_per_mille: u64,
+) -> Vec<Vec<f64>> {
+    let mut mix = Mix(seed);
+    let mut out: Vec<Vec<f64>> = Vec::with_capacity(n);
+    for i in 0..n {
+        let mut row: Vec<f64> = (0..dim)
+            .map(|_| {
+                if mix.below(1000) < special_per_mille {
+                    SPECIALS[mix.below(SPECIALS.len() as u64) as usize]
+                } else {
+                    (mix.below(9) as f64 - 4.0) * 0.5 * spread
+                }
+            })
+            .collect();
+        if i > 0 {
+            let earlier = mix.below(i as u64) as usize;
+            match mix.below(4) {
+                0 => row.clone_from(&out[earlier]),
+                1 => row[0] = out[earlier][0],
+                _ => {}
+            }
+        }
+        out.push(row);
+    }
+    out
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 //! ([`subset3d_cluster::ThresholdClustering`],
 //! [`subset3d_cluster::ThresholdSubsetter`] and
 //! [`subset3d_features::FeatureMatrix::normalize`]) to them bit for bit —
-//! on assignments, centroid bits and representatives, and on every
+//! on assignments, centroid bits and representatives
+//! ([`same_fit_bits`], which the streaming oracle also uses), and on every
 //! normalised value.
 
 use subset3d_cluster::{Clustering, SubsetterFit};
@@ -135,6 +136,50 @@ pub fn medoid_of(points: &[Vec<f64>], members: &[usize]) -> Option<usize> {
             })
             .or(Some(members[0]))
     }
+}
+
+/// Checks two clusterings for the same assignments and the same centroid
+/// bit patterns. Unlike `==`, this tells `-0.0` from `0.0` and finds a NaN
+/// centroid equal to itself.
+///
+/// # Errors
+///
+/// Returns a description of the first difference.
+pub fn same_clustering_bits(got: &Clustering, want: &Clustering) -> Result<(), String> {
+    if got.assignments() != want.assignments() {
+        return Err(format!(
+            "assignments differ: {:?} vs {:?}",
+            got.assignments(),
+            want.assignments()
+        ));
+    }
+    let bits = |c: &Clustering| -> Vec<Vec<u64>> {
+        c.centroids()
+            .iter()
+            .map(|row| row.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+    if bits(got) != bits(want) {
+        return Err("centroid bits differ".into());
+    }
+    Ok(())
+}
+
+/// [`same_clustering_bits`] plus the same representatives: two fits equal
+/// by bits.
+///
+/// # Errors
+///
+/// Returns a description of the first difference.
+pub fn same_fit_bits(got: &SubsetterFit, want: &SubsetterFit) -> Result<(), String> {
+    same_clustering_bits(&got.clustering, &want.clustering)?;
+    if got.representatives != want.representatives {
+        return Err(format!(
+            "representatives differ: {:?} vs {:?}",
+            got.representatives, want.representatives
+        ));
+    }
+    Ok(())
 }
 
 /// Early-exit squared-distance test: `‖a − b‖² ≤ limit`.

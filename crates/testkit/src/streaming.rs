@@ -22,6 +22,7 @@
 //! [`WorkloadEvaluation::mean_prediction_error`]:
 //!     subset3d_core::WorkloadEvaluation::mean_prediction_error
 
+use crate::reference::same_fit_bits;
 use subset3d_core::{SubsetConfig, Subsetter};
 use subset3d_gpusim::{ArchConfig, Simulator};
 use subset3d_serve::{replay, ReplayOptions, ServeConfig, SessionReport, DEFAULT_DRIFT_BOUND};
@@ -109,14 +110,9 @@ pub fn run_streaming_oracle(
                 report.frames_seen
             ));
         }
-        if report.fit != batch_fit {
+        if let Err(diff) = same_fit_bits(&report.fit, &batch_fit) {
             return Err(format!(
-                "[{ctx}] drained fit diverges from Subsetter::global_fit: \
-                 {} vs {} clusters, representatives {:?} vs {:?}",
-                report.fit.clustering.len(),
-                batch_fit.clustering.len(),
-                report.fit.representatives,
-                batch_fit.representatives
+                "[{ctx}] drained fit diverges from Subsetter::global_fit: {diff}"
             ));
         }
         if report.frame_fits != outcome.clusterings {

@@ -10,94 +10,14 @@
 
 use proptest::prelude::*;
 use subset3d_cluster::{
-    canonical_order, medoid_of, Clustering, Points, Subsetter, SubsetterFit, ThresholdClustering,
-    ThresholdSubsetter,
+    canonical_order, medoid_of, Points, Subsetter, ThresholdClustering, ThresholdSubsetter,
 };
-use subset3d_testkit::reference;
+use subset3d_testkit::corpus::hostile_rows as rows;
+use subset3d_testkit::reference::{
+    self, same_clustering_bits as same_clustering, same_fit_bits as same_fit,
+};
 
 const THRESHOLDS: [f64; 3] = [0.0, 1.02, f64::INFINITY];
-
-/// Values a coordinate takes instead of a grid value, at the case's
-/// special rate.
-const SPECIALS: [f64; 5] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
-
-/// SplitMix64: expands one case seed into the point set.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-/// `n` rows of `dim` coordinates on a coarse grid scaled by `spread`, so
-/// distances straddle the 1.02 threshold: about a quarter of the rows
-/// repeat an earlier row, another quarter repeat only its coordinate 0,
-/// and `special_per_mille` of the fresh coordinates are special values.
-fn rows(seed: u64, n: usize, dim: usize, spread: f64, special_per_mille: u64) -> Vec<Vec<f64>> {
-    let mut mix = Mix(seed);
-    let mut out: Vec<Vec<f64>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut row: Vec<f64> = (0..dim)
-            .map(|_| {
-                if mix.below(1000) < special_per_mille {
-                    SPECIALS[mix.below(SPECIALS.len() as u64) as usize]
-                } else {
-                    (mix.below(9) as f64 - 4.0) * 0.5 * spread
-                }
-            })
-            .collect();
-        if i > 0 {
-            let earlier = mix.below(i as u64) as usize;
-            match mix.below(4) {
-                0 => row.clone_from(&out[earlier]),
-                1 => row[0] = out[earlier][0],
-                _ => {}
-            }
-        }
-        out.push(row);
-    }
-    out
-}
-
-fn same_clustering(got: &Clustering, want: &Clustering) -> Result<(), String> {
-    if got.assignments() != want.assignments() {
-        return Err(format!(
-            "assignments differ: {:?} vs reference {:?}",
-            got.assignments(),
-            want.assignments()
-        ));
-    }
-    let bits = |c: &Clustering| -> Vec<Vec<u64>> {
-        c.centroids()
-            .iter()
-            .map(|row| row.iter().map(|v| v.to_bits()).collect())
-            .collect()
-    };
-    if bits(got) != bits(want) {
-        return Err("centroid bits differ".into());
-    }
-    Ok(())
-}
-
-fn same_fit(got: &SubsetterFit, want: &SubsetterFit) -> Result<(), String> {
-    same_clustering(&got.clustering, &want.clustering)?;
-    if got.representatives != want.representatives {
-        return Err(format!(
-            "representatives differ: {:?} vs reference {:?}",
-            got.representatives, want.representatives
-        ));
-    }
-    Ok(())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
