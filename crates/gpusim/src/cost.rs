@@ -1,5 +1,6 @@
 //! Simulated cost structures: per-draw, per-frame and per-workload.
 
+use crate::memo::{FNV_BASIS_A, FNV_PRIME};
 use serde::{Deserialize, Serialize};
 
 /// Pipeline stage identified as a draw's bottleneck.
@@ -129,6 +130,21 @@ impl WorkloadCost {
         self.frames.iter().map(|f| f.draws.len()).sum()
     }
 
+    /// Order-dependent 64-bit digest of every draw's `time_ns` bit
+    /// pattern, frames in trace order and draws in submission order —
+    /// the value a sweep's `ConfigPoint::digest` carries for the same
+    /// config. Unlike a total, where opposite one-ulp errors can cancel
+    /// below the last bit, any one changed draw time changes the digest.
+    pub fn digest(&self) -> u64 {
+        let mut digest = TimeDigest::new();
+        for frame in &self.frames {
+            for draw in &frame.draws {
+                digest.fold(draw.time_ns);
+            }
+        }
+        digest.finish()
+    }
+
     /// Total draw time attributed to each bottleneck stage — the
     /// workload-characterisation view ("where does this game spend its GPU
     /// time?").
@@ -140,6 +156,28 @@ impl WorkloadCost {
             }
         }
         map
+    }
+}
+
+/// 64-bit FNV-1a over draw times' bit patterns, one word per draw.
+/// Every step is a bijection of the running state, so changing any one
+/// draw time always changes the result.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TimeDigest(u64);
+
+impl TimeDigest {
+    pub(crate) fn new() -> Self {
+        TimeDigest(FNV_BASIS_A)
+    }
+
+    /// Folds the next draw time.
+    #[inline]
+    pub(crate) fn fold(&mut self, time_ns: f64) {
+        self.0 = (self.0 ^ time_ns.to_bits()).wrapping_mul(FNV_PRIME);
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        self.0
     }
 }
 
@@ -189,6 +227,30 @@ mod tests {
         assert_eq!(w.total_ns, 6.0);
         assert_eq!(w.total_draws(), 3);
         assert_eq!(w.frame_times(), vec![1.0, 5.0]);
+    }
+
+    #[test]
+    fn digest_sees_every_draw_time_and_its_order() {
+        let w = |times: &[&[f64]]| {
+            WorkloadCost::from_frames(
+                times
+                    .iter()
+                    .map(|f| FrameCost::from_draws(f.iter().map(|&t| cost(t)).collect()))
+                    .collect(),
+            )
+        };
+        let base = w(&[&[1.0, 2.0], &[3.0]]);
+        assert_eq!(base.digest(), w(&[&[1.0, 2.0], &[3.0]]).digest());
+        let flipped = f64::from_bits(2.0f64.to_bits() ^ 1);
+        assert_ne!(base.digest(), w(&[&[1.0, flipped], &[3.0]]).digest());
+        assert_ne!(base.digest(), w(&[&[2.0, 1.0], &[3.0]]).digest());
+        // Frame boundaries are not folded: the digest is over the draw
+        // sequence, as a sweep walks it.
+        assert_eq!(base.digest(), w(&[&[1.0], &[2.0, 3.0]]).digest());
+        assert_eq!(
+            WorkloadCost::from_frames(Vec::new()).digest(),
+            TimeDigest::new().finish()
+        );
     }
 
     #[test]

@@ -9,14 +9,16 @@
 //!
 //! Re-simulation — the pathfinding loop, which re-simulates the same
 //! subset on every candidate design — is served at **batch** grain: the
-//! simulator evaluates draws in fixed-width batches, and
-//! [`CacheMode::On`] retains each batch's costs under a [`BatchKey`]. A
-//! warm pass probes once per batch (not once per draw), skipping the
-//! per-draw model entirely: `Simulator::simulate_workload` copies the
-//! whole cost slice out, while a sweep (`SweepSession`) digests each
-//! batch's key once for all its candidates, probes every candidate's
-//! own cache with it, and reads only the draw times, under the read
-//! lock, with no copy of the slice.
+//! simulator evaluates draws in fixed-width batches, and one
+//! [`BatchCostCache`] retains each batch's per-draw values under a
+//! [`BatchKey`]. A warm pass probes once per batch (not once per draw),
+//! skipping the per-draw model entirely. The cache is generic over what
+//! it keeps per draw: a memoizing `Simulator` ([`CacheMode::On`]) keeps
+//! full [`DrawCost`]s and copies a hit's slice out, while a
+//! `SweepSession` keeps one row per batch holding only the draw times of
+//! every candidate, candidate-major — 8 bytes per draw and candidate —
+//! and a warm sweep probes once per batch for all candidates and shares
+//! the row itself, with no copy.
 //!
 //! Each draw contributes a 128-bit **shape digest** to its batch's key —
 //! two independent 64-bit FNV-1a streams folded over the exact bit
@@ -38,23 +40,26 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use subset3d_obs::LazyCounter;
 use subset3d_trace::TextureRegistry;
 
 // Process-global mirrors of the per-cache counters (see `subset3d_obs`):
-// each simulator keeps exact per-instance stats in `CacheStats`; these
+// each cache keeps exact per-instance stats in `CacheStats`; these
 // aggregate the same events across every cache in the process so a
-// `MetricsSnapshot` shows cache behaviour without holding a `Simulator`.
+// `MetricsSnapshot` shows cache behaviour without holding a `Simulator`
+// or `SweepSession`.
 static OBS_BATCH_HITS: LazyCounter = LazyCounter::new("gpusim.batch_cache.hits");
 static OBS_BATCH_MISSES: LazyCounter = LazyCounter::new("gpusim.batch_cache.misses");
 
 /// FNV-1a offset bases of the two independent digest streams, and the
-/// shared 64-bit FNV prime.
-const FNV_BASIS_A: u64 = 0xcbf2_9ce4_8422_2325;
+/// shared 64-bit FNV prime (also the primitive of the draw-time digest,
+/// `cost::TimeDigest`).
+pub(crate) const FNV_BASIS_A: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_BASIS_B: u64 = 0x6c62_272e_07bb_0142;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Memoization policy of a simulator.
+/// Memoization policy of a simulator or sweep session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheMode {
     /// Re-simulation mode: retain every evaluated batch's costs, so
@@ -175,8 +180,10 @@ impl Hasher for PassThroughHasher {
     }
 }
 
-/// Batch-cache counters of a simulator, taken at one instant. Lookups
-/// are made only in [`CacheMode::On`].
+/// Batch-cache counters of a simulator or sweep session, taken at one
+/// instant. Lookups are made only in [`CacheMode::On`]. A session's
+/// probe serves every candidate at once and counts as one lookup per
+/// candidate, as if each candidate had probed a cache of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Whole batches served from the batch cache.
@@ -200,56 +207,86 @@ impl CacheStats {
     }
 }
 
-/// Thread-safe memo table from [`BatchKey`] to a batch's draw costs.
+/// What a [`BatchCostCache`] retains per draw: the full [`DrawCost`] for
+/// a memoizing `Simulator`, the draw time alone for a `SweepSession` row.
+pub(crate) trait DrawValue: Copy {
+    /// The value with its draw time passed through `f` (the fault hook's
+    /// one-ulp flip).
+    #[cfg(feature = "fault-injection")]
+    fn map_time(self, f: impl FnOnce(f64) -> f64) -> Self;
+}
+
+impl DrawValue for DrawCost {
+    #[cfg(feature = "fault-injection")]
+    fn map_time(mut self, f: impl FnOnce(f64) -> f64) -> Self {
+        self.time_ns = f(self.time_ns);
+        self
+    }
+}
+
+impl DrawValue for f64 {
+    #[cfg(feature = "fault-injection")]
+    fn map_time(self, f: impl FnOnce(f64) -> f64) -> Self {
+        f(self)
+    }
+}
+
+/// Thread-safe memo table from [`BatchKey`] to a batch's per-draw values.
 ///
-/// One entry per distinct batch per architecture configuration; a warm
-/// re-simulation pass probes once per batch and reads the cost slice in
-/// place, skipping the per-draw model entirely. Shared by every worker
-/// simulating on one `Simulator` (or one sweep candidate), whose config
-/// never changes; consulted only in [`CacheMode::On`].
-pub(crate) struct BatchCostCache {
-    map: RwLock<HashMap<BatchKey, Box<[DrawCost]>, BuildHasherDefault<PassThroughHasher>>>,
+/// One entry per distinct batch; a warm re-simulation pass probes once
+/// per batch and shares the retained slice, skipping the per-draw model
+/// entirely. Shared by every worker simulating on one `Simulator` or one
+/// `SweepSession`, whose configs never change; consulted only in
+/// [`CacheMode::On`].
+pub(crate) struct BatchCostCache<T> {
+    map: RwLock<HashMap<BatchKey, Arc<[T]>, BuildHasherDefault<PassThroughHasher>>>,
+    /// Lookups one probe stands for: 1 for a `Simulator`, the candidate
+    /// count for a session, whose one probe serves every candidate.
+    lookups_per_probe: u64,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl BatchCostCache {
-    pub(crate) fn new() -> Self {
+impl<T: DrawValue> BatchCostCache<T> {
+    /// An empty cache whose every probe counts as `lookups_per_probe`
+    /// hits or misses.
+    pub(crate) fn new(lookups_per_probe: u64) -> Self {
         BatchCostCache {
             map: RwLock::new(HashMap::default()),
+            lookups_per_probe,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Probes for the batch `key` describes. On a hit, `read` sees the
-    /// retained costs under the read lock and its result is returned, so
-    /// a caller that keeps only the draw times copies nothing else.
-    pub(crate) fn get<R>(&self, key: &BatchKey, read: impl FnOnce(&[DrawCost]) -> R) -> Option<R> {
-        let served = self.map.read().get(key).map(|costs| {
-            #[cfg(feature = "fault-injection")]
-            let costs: &[DrawCost] = &costs
+    /// Probes for the batch `key` describes and, on a hit, shares its
+    /// retained values; the read lock is held only for the lookup.
+    pub(crate) fn get(&self, key: &BatchKey) -> Option<Arc<[T]>> {
+        let served = self.map.read().get(key).cloned();
+        #[cfg(feature = "fault-injection")]
+        let served = served.map(|values| {
+            values
                 .iter()
-                .map(|c| crate::fault::corrupt_hit(*c))
-                .collect::<Vec<_>>();
-            read(costs)
+                .map(|&v| crate::fault::corrupt_hit(v))
+                .collect()
         });
+        let n = self.lookups_per_probe;
         if served.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            OBS_BATCH_HITS.incr();
+            self.hits.fetch_add(n, Ordering::Relaxed);
+            OBS_BATCH_HITS.add(n);
             subset3d_obs::trace_instant("gpusim", "batch_cache.hit");
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            OBS_BATCH_MISSES.incr();
+            self.misses.fetch_add(n, Ordering::Relaxed);
+            OBS_BATCH_MISSES.add(n);
             subset3d_obs::trace_instant("gpusim", "batch_cache.miss");
         }
         served
     }
 
-    /// Retains a freshly evaluated batch's costs. Racing inserts of the
+    /// Retains a freshly evaluated batch's values. Racing inserts of the
     /// same key computed identical bits, so either winning is fine.
-    pub(crate) fn insert(&self, key: BatchKey, costs: &[DrawCost]) {
-        self.map.write().insert(key, costs.into());
+    pub(crate) fn insert(&self, key: BatchKey, values: Arc<[T]>) {
+        self.map.write().insert(key, values);
     }
 
     /// Hits and misses observed so far.
@@ -263,6 +300,12 @@ impl BatchCostCache {
     /// Number of retained batches.
     pub(crate) fn len(&self) -> usize {
         self.map.read().len()
+    }
+
+    /// Every retained slice's length, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn lengths(&self) -> Vec<usize> {
+        self.map.read().values().map(|v| v.len()).collect()
     }
 }
 
@@ -376,11 +419,11 @@ mod tests {
         let a = shape_at(&cols, 0, &vs, &ps, fp(), 0.0);
         let b = shape_at(&cols, 0, &vs, &ps, fp(), 0.5);
         let costs = vec![compute(), compute()];
-        let cache = BatchCostCache::new();
+        let cache = BatchCostCache::new(1);
         let key = BatchKey::of([a, b]);
-        assert!(cache.get(&key, <[DrawCost]>::to_vec).is_none());
-        cache.insert(key, &costs);
-        assert_eq!(cache.get(&key, <[DrawCost]>::to_vec).unwrap(), costs);
+        assert!(cache.get(&key).is_none());
+        cache.insert(key, costs.as_slice().into());
+        assert_eq!(*cache.get(&key).unwrap(), *costs);
         assert_eq!(
             cache.stats(),
             CacheStats {

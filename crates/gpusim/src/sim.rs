@@ -16,17 +16,18 @@
 //! keeps every draw's full cost, while the sweep walk behind
 //! [`crate::SweepSession`], [`crate::sweep_configs`] and
 //! [`crate::sweep_frequencies`] evaluates every candidate from the same
-//! batch inputs and keeps only draw times.
+//! batch inputs and keeps one row of draw times per batch.
 
 use crate::analytic::{analyze_draw, PreparedDraw};
 use crate::config::ArchConfig;
-use crate::cost::{DrawCost, FrameCost, WorkloadCost};
+use crate::cost::{DrawCost, FrameCost, TimeDigest, WorkloadCost};
 use crate::error::SimError;
 use crate::memo::{
     BatchCostCache, BatchKey, CacheMode, CacheStats, DrawShape, RegistryFingerprint, ShapeHasher,
 };
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use subset3d_trace::{
     DrawCall, DrawColumns, DrawId, Frame, ShaderId, ShaderProgram, TextureRegistry, Workload,
 };
@@ -47,8 +48,9 @@ pub const DEFAULT_BATCH_WIDTH: usize = 64;
 /// simulates in well under a second in release builds.
 ///
 /// In [`CacheMode::On`] whole batch costs are retained by content, so
-/// re-simulating a workload (sweep sessions, validation flows) is served
-/// batch-wholesale. The batch cache is keyed on exact bit patterns,
+/// re-simulating a workload (validation flows) is served
+/// batch-wholesale; a [`crate::SweepSession`] keeps its own cache of
+/// draw times instead. The batch cache is keyed on exact bit patterns,
 /// making memoized results indistinguishable from uncached ones; it is
 /// shared across simulation worker threads. A simulator's configuration
 /// is fixed at construction, so its cached costs never go stale. The
@@ -68,7 +70,7 @@ pub const DEFAULT_BATCH_WIDTH: usize = 64;
 /// ```
 pub struct Simulator {
     config: ArchConfig,
-    batches: BatchCostCache,
+    batches: BatchCostCache<DrawCost>,
     /// Whether the batch cache is consulted ([`CacheMode::On`]).
     memoize: AtomicBool,
     batch_width: AtomicUsize,
@@ -89,7 +91,7 @@ impl Simulator {
         );
         Simulator {
             config,
-            batches: BatchCostCache::new(),
+            batches: BatchCostCache::new(1),
             memoize: AtomicBool::new(false),
             batch_width: AtomicUsize::new(DEFAULT_BATCH_WIDTH),
         }
@@ -216,14 +218,14 @@ impl Simulator {
     /// one (`Off`) the batch computes directly, with no probe at all.
     fn simulate_batch(&self, batch: &Batch<'_, '_>) -> Vec<DrawCost> {
         if let Some(key) = &batch.key {
-            if let Some(costs) = self.batches.get(key, <[DrawCost]>::to_vec) {
-                return costs;
+            if let Some(costs) = self.batches.get(key) {
+                return costs.to_vec();
             }
         }
         let config = self.config();
         let costs: Vec<DrawCost> = batch.prepare().iter().map(|d| d.evaluate(config)).collect();
         if let Some(key) = batch.key {
-            self.batches.insert(key, &costs);
+            self.batches.insert(key, costs.as_slice().into());
         }
         costs
     }
@@ -269,82 +271,83 @@ impl Simulator {
     }
 }
 
-/// Simulates `workload` on every simulator of `sims` in one walk over its
-/// batches, returning each simulator's total time in order — bit for bit
-/// its own `simulate_workload(workload)?.total_ns`.
+/// Simulates `workload` on every config of `configs` in one walk over its
+/// batches, returning per config, in order, its total time and the
+/// digest of its draw times — bit for bit the `total_ns` and
+/// [`WorkloadCost::digest`] of a [`Simulator`] of that config's
+/// `simulate_workload(workload)?`.
 ///
-/// Each batch's shaders, warmths and key are computed once for every
-/// candidate. A memoizing candidate probes its own batch cache (same
-/// key, values and counters as [`Simulator::simulate_workload`]); the
-/// batch's draws are materialised and prepared at most once, and only if
-/// some candidate missed, then evaluated on each config that needs them.
-/// Only draw times leave a batch: each candidate's frame totals are
-/// Kahan-summed in draw order across batches and its workload total over
-/// frames in trace order, exactly the operations of
-/// [`FrameCost::from_draws`] and [`WorkloadCost::from_frames`]. Batches
-/// use [`DEFAULT_BATCH_WIDTH`], the width every sweep's simulators have.
+/// Each batch's shaders, warmths and — with a session's `rows` cache —
+/// key are computed once for every config. With `rows`, one probe serves
+/// every config: a hit shares the batch's retained row of draw times, a
+/// miss materialises and prepares the batch's draws once, evaluates them
+/// on each config and retains the row. Without (the one-shot sweeps, or
+/// a session in [`CacheMode::Off`]) there is no key, probe or insert.
+/// Batches use [`DEFAULT_BATCH_WIDTH`].
+///
+/// Only draw times leave a batch. Per config, frame totals are
+/// Kahan-summed in draw order across batches and the workload total over
+/// frames in trace order — exactly the operations of
+/// [`FrameCost::from_draws`] and [`WorkloadCost::from_frames`] — and the
+/// same pass folds each draw time into the config's digest.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::UnknownShader`] of the first failing batch in
 /// trace order.
-pub(crate) fn sweep_totals(sims: &[Simulator], workload: &Workload) -> Result<Vec<f64>, SimError> {
-    if sims.is_empty() {
+pub(crate) fn sweep_totals(
+    configs: &[ArchConfig],
+    workload: &Workload,
+    rows: Option<&BatchCostCache<f64>>,
+) -> Result<Vec<(f64, u64)>, SimError> {
+    if configs.is_empty() {
         return Ok(Vec::new());
     }
-    let _t = subset3d_obs::trace_span_arg("gpusim", "sweep", "candidates", sims.len() as u64);
-    let candidates: Vec<(&ArchConfig, Option<&BatchCostCache>)> = sims
-        .iter()
-        .map(|sim| (sim.config(), sim.memoizing().then_some(&sim.batches)))
-        .collect();
-    let memoize = candidates.iter().any(|(_, cache)| cache.is_some());
-    let (list, times) = walk(workload, DEFAULT_BATCH_WIDTH, memoize, |batch| {
-        sweep_batch(batch, &candidates)
+    let _t = subset3d_obs::trace_span_arg("gpusim", "sweep", "candidates", configs.len() as u64);
+    let (list, times) = walk(workload, DEFAULT_BATCH_WIDTH, rows.is_some(), |batch| {
+        sweep_batch(batch, configs, rows)
     })?;
-    let n = candidates.len();
+    let n = configs.len();
     Ok((0..n)
         .map(|c| {
-            subset3d_stats::sum_iter(list.frames.iter().map(|range| {
-                // A batch's times are candidate-major: `c`'s run is the
+            let mut digest = TimeDigest::new();
+            let total = subset3d_stats::sum_iter(list.frames.iter().map(|range| {
+                // A row is candidate-major: config `c`'s times are the
                 // `c`-th of `n` equal runs.
-                subset3d_stats::sum_iter(times[range.clone()].iter().flat_map(|batch| {
-                    let len = batch.len() / n;
-                    batch[c * len..(c + 1) * len].iter().copied()
-                }))
-            }))
+                let draws = times[range.clone()].iter().flat_map(|row| {
+                    let len = row.len() / n;
+                    row[c * len..(c + 1) * len].iter().copied()
+                });
+                subset3d_stats::sum_iter(draws.inspect(|&time| digest.fold(time)))
+            }));
+            (total, digest.finish())
         })
         .collect())
 }
 
-/// Costs one batch on every candidate — the N-config step of the sweep
-/// walk — returning the draw times candidate-major.
+/// Costs one batch on every config — the N-config step of the sweep
+/// walk — returning the row of draw times, candidate-major.
 fn sweep_batch(
     batch: &Batch<'_, '_>,
-    candidates: &[(&ArchConfig, Option<&BatchCostCache>)],
-) -> Vec<f64> {
-    let mut times = Vec::with_capacity(batch.warmths.len() * candidates.len());
-    let mut prepared: Option<Vec<PreparedDraw>> = None;
-    for &(config, cache) in candidates {
-        let cache = cache.zip(batch.key.as_ref());
-        if let Some((cache, key)) = cache {
-            let hit = cache.get(key, |costs| {
-                times.extend(costs.iter().map(|c| c.time_ns));
-            });
-            if hit.is_some() {
-                continue;
-            }
-        }
-        let prepared = prepared.get_or_insert_with(|| batch.prepare());
-        match cache {
-            Some((cache, key)) => {
-                let costs: Vec<DrawCost> = prepared.iter().map(|d| d.evaluate(config)).collect();
-                times.extend(costs.iter().map(|c| c.time_ns));
-                cache.insert(*key, &costs);
-            }
-            None => times.extend(prepared.iter().map(|d| d.evaluate(config).time_ns)),
+    configs: &[ArchConfig],
+    rows: Option<&BatchCostCache<f64>>,
+) -> Arc<[f64]> {
+    let cached = rows.zip(batch.key.as_ref());
+    if let Some((rows, key)) = cached {
+        if let Some(row) = rows.get(key) {
+            return row;
         }
     }
-    times
+    let prepared = batch.prepare();
+    let mut times = Vec::with_capacity(prepared.len() * configs.len());
+    for config in configs {
+        times.extend(prepared.iter().map(|d| d.evaluate(config).time_ns));
+    }
+    let row: Arc<[f64]> = times.into();
+    if let Some((rows, key)) = cached {
+        rows.insert(*key, Arc::clone(&row));
+    }
+    row
 }
 
 /// The `(frame, start, end)` batches of a workload in trace order, and
@@ -498,7 +501,7 @@ impl Clone for Simulator {
     fn clone(&self) -> Self {
         Simulator {
             config: self.config.clone(),
-            batches: BatchCostCache::new(),
+            batches: BatchCostCache::new(1),
             memoize: AtomicBool::new(false),
             batch_width: AtomicUsize::new(self.batch_width()),
         }

@@ -3,9 +3,10 @@
 use crate::config::ArchConfig;
 use crate::error::SimError;
 use crate::freq::FrequencySweep;
-use crate::memo::{CacheMode, CacheStats};
-use crate::sim::{sweep_totals, Simulator};
+use crate::memo::{BatchCostCache, CacheMode, CacheStats};
+use crate::sim::sweep_totals;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicBool, Ordering};
 use subset3d_trace::Workload;
 
 /// One point of a frequency sweep result.
@@ -24,6 +25,35 @@ pub struct ConfigPoint {
     pub name: String,
     /// Simulated total workload time in nanoseconds.
     pub total_ns: f64,
+    /// Order-dependent digest of every draw's simulated time on this
+    /// design point — [`crate::WorkloadCost::digest`] of the workload's
+    /// cost. It pins each draw time where `total_ns` lets opposite
+    /// one-ulp errors cancel, so comparing points compares every draw.
+    pub digest: u64,
+}
+
+/// [`SimError::InvalidConfig`] for the first invalid config, reported
+/// before any simulation work is spent.
+fn validate(configs: &[ArchConfig]) -> Result<(), SimError> {
+    match configs.iter().find(|c| !c.is_valid()) {
+        Some(config) => Err(SimError::InvalidConfig {
+            name: config.name.clone(),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Names each config's `(total_ns, digest)`.
+fn config_points(configs: &[ArchConfig], totals: Vec<(f64, u64)>) -> Vec<ConfigPoint> {
+    configs
+        .iter()
+        .zip(totals)
+        .map(|(config, (total_ns, digest))| ConfigPoint {
+            name: config.name.clone(),
+            total_ns,
+            digest,
+        })
+        .collect()
 }
 
 /// Simulates `workload` at every core clock of `sweep` on the `base` design.
@@ -31,16 +61,13 @@ pub struct ConfigPoint {
 /// Every point is evaluated in one walk over the workload's batches (see
 /// [`SweepSession`]), fanned out over the shared [`subset3d_exec`] pool;
 /// the result order and every value are identical at any thread count,
-/// and each total equals a fresh [`Simulator`]'s at that clock.
+/// and each total equals a fresh [`crate::Simulator`]'s at that clock.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::UnknownShader`] when the workload references shaders
-/// missing from its own library.
-///
-/// # Panics
-///
-/// Panics if `base` at one of the swept clocks is an invalid configuration.
+/// missing from its own library, and [`SimError::InvalidConfig`] when
+/// `base` is an invalid configuration at one of the swept clocks.
 ///
 /// # Examples
 ///
@@ -60,17 +87,14 @@ pub fn sweep_frequencies(
     base: &ArchConfig,
     sweep: &FrequencySweep,
 ) -> Result<Vec<SweepPoint>, SimError> {
-    let sims: Vec<Simulator> = sweep
-        .configs(base)
-        .into_iter()
-        .map(Simulator::new)
-        .collect();
-    let totals = sweep_totals(&sims, workload)?;
-    Ok(sims
+    let configs = sweep.configs(base);
+    validate(&configs)?;
+    let totals = sweep_totals(&configs, workload, None)?;
+    Ok(configs
         .iter()
         .zip(totals)
-        .map(|(sim, total_ns)| SweepPoint {
-            core_clock_mhz: sim.config().core_clock_mhz,
+        .map(|(config, (total_ns, _))| SweepPoint {
+            core_clock_mhz: config.core_clock_mhz,
             total_ns,
         })
         .collect())
@@ -79,7 +103,7 @@ pub fn sweep_frequencies(
 /// Simulates `workload` on every candidate design point in one walk over
 /// its batches (see [`SweepSession`]), with no batch cache; the result
 /// order and every value are identical at any thread count, and each
-/// total equals a fresh [`Simulator`]'s on that candidate.
+/// point equals a fresh [`crate::Simulator`]'s on that candidate.
 ///
 /// # Errors
 ///
@@ -90,27 +114,13 @@ pub fn sweep_configs(
     workload: &Workload,
     candidates: &[ArchConfig],
 ) -> Result<Vec<ConfigPoint>, SimError> {
-    // Validate up front so an invalid candidate is reported before any
-    // simulation work is spent (and `Simulator::new` below cannot panic).
-    if let Some(config) = candidates.iter().find(|c| !c.is_valid()) {
-        return Err(SimError::InvalidConfig {
-            name: config.name.clone(),
-        });
-    }
-    let sims: Vec<Simulator> = candidates.iter().cloned().map(Simulator::new).collect();
-    let totals = sweep_totals(&sims, workload)?;
-    Ok(candidates
-        .iter()
-        .zip(totals)
-        .map(|(config, total_ns)| ConfigPoint {
-            name: config.name.clone(),
-            total_ns,
-        })
-        .collect())
+    validate(candidates)?;
+    let totals = sweep_totals(candidates, workload, None)?;
+    Ok(config_points(candidates, totals))
 }
 
-/// A reusable design-space sweep: one persistent batch cache per
-/// candidate, so repeated sweeps reuse memoized batch costs.
+/// A reusable design-space sweep: one batch cache for all candidates, so
+/// repeated sweeps reuse every candidate's draw times.
 ///
 /// Architecture pathfinding is iterative — the same workloads are swept
 /// again and again while candidates are compared, and validation flows
@@ -121,15 +131,16 @@ pub fn sweep_configs(
 /// to [`sweep_configs`].
 ///
 /// A sweep is one walk over the workload's batches for all candidates:
-/// each batch's shaders, warmths and cache key are computed once, each
-/// candidate probes its own cache, and the batch's draws are prepared
-/// once (`PreparedDraw`) — only if some candidate missed — then
-/// evaluated on each candidate that did. A warm sweep never materialises
-/// a draw.
+/// each batch's shaders, warmths and cache key are computed once and the
+/// session's cache is probed once. It maps each distinct batch to one
+/// row holding that batch's draw times on every candidate,
+/// candidate-major — 8 bytes per draw and candidate, only what a sweep
+/// reads. A missed batch's draws are prepared once (`PreparedDraw`),
+/// evaluated on every candidate and retained as a row; a warm sweep
+/// shares the rows and never materialises a draw.
 ///
-/// Candidates are created in [`CacheMode::On`]: re-simulation is the
-/// point of keeping a session, so batch costs are retained from the
-/// cold first pass onwards.
+/// Sessions start in [`CacheMode::On`]: re-simulation is the point of
+/// keeping one, so rows are retained from the cold first pass onwards.
 ///
 /// # Examples
 ///
@@ -140,12 +151,16 @@ pub fn sweep_configs(
 /// let w = GameProfile::shooter("g").frames(2).draws_per_frame(15).build(1).generate();
 /// let session = SweepSession::new(&ArchConfig::pathfinding_candidates())?;
 /// let first = session.sweep(&w)?;
-/// let second = session.sweep(&w)?; // served from the batch caches
+/// let second = session.sweep(&w)?; // served from the batch cache
 /// assert_eq!(first, second);
 /// # Ok::<(), subset3d_gpusim::SimError>(())
 /// ```
 pub struct SweepSession {
-    sims: Vec<Simulator>,
+    candidates: Vec<ArchConfig>,
+    /// Batch key → the batch's draw times on every candidate.
+    rows: BatchCostCache<f64>,
+    /// Whether sweeps consult `rows` ([`CacheMode::On`]).
+    memoize: AtomicBool,
 }
 
 impl SweepSession {
@@ -156,28 +171,20 @@ impl SweepSession {
     ///
     /// Returns [`SimError::InvalidConfig`] for an invalid candidate.
     pub fn new(candidates: &[ArchConfig]) -> Result<Self, SimError> {
-        if let Some(config) = candidates.iter().find(|c| !c.is_valid()) {
-            return Err(SimError::InvalidConfig {
-                name: config.name.clone(),
-            });
-        }
-        let sims: Vec<Simulator> = candidates
-            .iter()
-            .map(|config| {
-                let sim = Simulator::new(config.clone());
-                sim.set_cache_mode(CacheMode::On);
-                sim
-            })
-            .collect();
-        Ok(SweepSession { sims })
+        validate(candidates)?;
+        Ok(SweepSession {
+            candidates: candidates.to_vec(),
+            rows: BatchCostCache::new(candidates.len() as u64),
+            memoize: AtomicBool::new(true),
+        })
     }
 
-    /// Sets the memoization policy of every candidate
-    /// (benchmarks use [`CacheMode::Off`] for an uncached baseline).
+    /// Sets the memoization policy of the session (benchmarks use
+    /// [`CacheMode::Off`] for an uncached baseline). Switching to `Off`
+    /// does not drop retained rows; lookups simply stop, and a sweep
+    /// computes no key, makes no probe and inserts nothing.
     pub fn set_cache_mode(&self, mode: CacheMode) {
-        for sim in &self.sims {
-            sim.set_cache_mode(mode);
-        }
+        self.memoize.store(mode == CacheMode::On, Ordering::Relaxed);
     }
 
     /// Simulates `workload` on every candidate in one walk over its
@@ -189,27 +196,16 @@ impl SweepSession {
     /// Returns [`SimError::UnknownShader`] when the workload references
     /// shaders missing from its own library.
     pub fn sweep(&self, workload: &Workload) -> Result<Vec<ConfigPoint>, SimError> {
-        let totals = sweep_totals(&self.sims, workload)?;
-        Ok(self
-            .sims
-            .iter()
-            .zip(totals)
-            .map(|(sim, total_ns)| ConfigPoint {
-                name: sim.config().name.clone(),
-                total_ns,
-            })
-            .collect())
+        let rows = self.memoize.load(Ordering::Relaxed).then_some(&self.rows);
+        let totals = sweep_totals(&self.candidates, workload, rows)?;
+        Ok(config_points(&self.candidates, totals))
     }
 
-    /// Aggregated hit/miss counters across every candidate's caches.
+    /// Hit/miss counters of the session's batch cache, one lookup per
+    /// candidate and batch — what each candidate probing a cache of its
+    /// own would count.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for sim in &self.sims {
-            let s = sim.cache_stats();
-            total.batch_hits += s.batch_hits;
-            total.batch_misses += s.batch_misses;
-        }
-        total
+        self.rows.stats()
     }
 }
 
@@ -266,10 +262,33 @@ mod tests {
     }
 
     #[test]
+    fn frequency_sweep_rejects_invalid_base() {
+        let mut bad = ArchConfig::baseline();
+        bad.eu_count = 0;
+        let err = sweep_frequencies(&workload(), &bad, &FrequencySweep::standard()).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }));
+    }
+
+    #[test]
     fn large_config_beats_small() {
         let points =
             sweep_configs(&workload(), &[ArchConfig::small(), ArchConfig::large()]).unwrap();
         assert!(points[1].total_ns < points[0].total_ns);
+    }
+
+    /// The reference model's point for every candidate.
+    fn reference_points(w: &Workload, candidates: &[ArchConfig]) -> Vec<ConfigPoint> {
+        candidates
+            .iter()
+            .map(|c| {
+                let cost = crate::reference::reference_workload_cost(w, c).unwrap();
+                ConfigPoint {
+                    name: c.name.clone(),
+                    total_ns: cost.total_ns,
+                    digest: cost.digest(),
+                }
+            })
+            .collect()
     }
 
     #[test]
@@ -280,19 +299,108 @@ mod tests {
 
         let first = session.sweep(&w).unwrap();
         assert_eq!(first, sweep_configs(&w, &candidates).unwrap());
+        assert_eq!(first, reference_points(&w, &candidates));
         let cold = session.cache_stats();
         // 30 draws per frame < one 64-wide batch, so every frame is one
-        // (ragged) batch per candidate.
+        // (ragged) batch, counted once per candidate.
         let batches = (w.frames().len() * candidates.len()) as u64;
         assert_eq!(cold.batch_misses, batches);
 
         // The second sweep re-sees every batch: served wholesale from the
-        // batch caches, bit-identical points, no new misses.
+        // batch cache, bit-identical points, no new misses.
         let second = session.sweep(&w).unwrap();
         let warm = session.cache_stats();
         assert_eq!(second, first);
         assert_eq!(warm.batch_hits, batches);
         assert_eq!(warm.batch_misses, cold.batch_misses);
+    }
+
+    #[test]
+    fn session_keeps_one_row_per_distinct_batch() {
+        // 150 draws per frame: two full 64-wide batches and a ragged 22.
+        let w = GameProfile::shooter("rows")
+            .frames(3)
+            .draws_per_frame(150)
+            .build(5)
+            .generate();
+        let candidates = ArchConfig::pathfinding_candidates();
+        let n = candidates.len();
+        let mut row_lengths = Vec::new();
+        for frame in w.frames() {
+            let draws = frame.draw_count();
+            for start in (0..draws).step_by(crate::DEFAULT_BATCH_WIDTH) {
+                row_lengths.push(n * (draws - start).min(crate::DEFAULT_BATCH_WIDTH));
+            }
+        }
+        row_lengths.sort_unstable();
+        let batches = row_lengths.len();
+        assert_eq!(batches, 9);
+
+        // Cold: one row per batch, holding every candidate's draw times.
+        let session = SweepSession::new(&candidates).unwrap();
+        let cold = session.sweep(&w).unwrap();
+        let mut kept = session.rows.lengths();
+        kept.sort_unstable();
+        assert_eq!(kept, row_lengths);
+
+        // Warm: no new rows, one hit per candidate and batch.
+        let warm = session.sweep(&w).unwrap();
+        assert_eq!(warm, cold);
+        assert_eq!(session.rows.len(), batches);
+        assert_eq!(
+            session.cache_stats(),
+            CacheStats {
+                batch_hits: (n * batches) as u64,
+                batch_misses: (n * batches) as u64,
+            }
+        );
+
+        // Off keeps nothing and counts nothing.
+        let off = SweepSession::new(&candidates).unwrap();
+        off.set_cache_mode(CacheMode::Off);
+        assert_eq!(off.sweep(&w).unwrap(), cold);
+        assert_eq!(off.rows.len(), 0);
+        assert_eq!(off.cache_stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn racing_sweeps_of_one_session_match_the_reference() {
+        // Over 1000 draws, so each sweep also fans out over the pool.
+        let w = GameProfile::rts("race")
+            .frames(4)
+            .draws_per_frame(300)
+            .build(6)
+            .generate();
+        let candidates = ArchConfig::pathfinding_candidates();
+        let expected = reference_points(&w, &candidates);
+        let session = SweepSession::new(&candidates).unwrap();
+        // Both threads leave the barrier onto a cold session together, so
+        // they race to miss and insert the same keys; every assertion
+        // below holds whichever insert wins.
+        let start = std::sync::Barrier::new(2);
+        let sweep = || {
+            start.wait();
+            session.sweep(&w).unwrap()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(sweep);
+            let b = s.spawn(sweep);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, expected);
+        assert_eq!(b, expected);
+        let batches: usize = w
+            .frames()
+            .iter()
+            .map(|f| f.draw_count().div_ceil(crate::DEFAULT_BATCH_WIDTH))
+            .sum();
+        assert_eq!(session.rows.len(), batches);
+        let stats = session.cache_stats();
+        assert_eq!(
+            stats.batch_hits + stats.batch_misses,
+            (2 * candidates.len() * batches) as u64
+        );
+        assert_eq!(session.sweep(&w).unwrap(), expected, "warm after the race");
     }
 
     #[test]

@@ -100,6 +100,12 @@ const CODE_INTERNAL: u8 = 7;
 /// on a read, and the janitor's sleep quantum.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
+/// How long a [`NetClient`] waits on one socket read or write before
+/// failing it with [`ServeError::Io`]. Far above any legal reply (a
+/// 4-frame chunk round-trips in about a millisecond), it only bounds the
+/// wait on a listener that stopped answering.
+const CLIENT_DEADLINE: Duration = Duration::from_secs(60);
+
 /// Backpressure state a server attaches to every `UPDATE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pressure {
@@ -816,6 +822,9 @@ pub struct NetClient {
 
 impl NetClient {
     /// Connects and performs the handshake with the default message cap.
+    /// Every later read or write on the connection fails with
+    /// [`ServeError::Io`] once it has waited 60 s, so a listener that
+    /// stops answering cannot hang the client.
     ///
     /// # Errors
     ///
@@ -825,14 +834,27 @@ impl NetClient {
     }
 
     /// Connects with an explicit per-message size cap (must match the
-    /// server's or replies over the cap are rejected client-side).
+    /// server's or replies over the cap are rejected client-side), under
+    /// the same 60 s read and write deadline as [`NetClient::connect`].
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Io`] for connect failures.
     pub fn connect_with(addr: &str, max_message_bytes: u32) -> Result<NetClient, ServeError> {
+        NetClient::connect_within(addr, max_message_bytes, CLIENT_DEADLINE)
+    }
+
+    /// [`NetClient::connect_with`] under a read and write deadline of
+    /// `deadline` instead of [`CLIENT_DEADLINE`].
+    pub(crate) fn connect_within(
+        addr: &str,
+        max_message_bytes: u32,
+        deadline: Duration,
+    ) -> Result<NetClient, ServeError> {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(deadline))?;
+        stream.set_write_timeout(Some(deadline))?;
         let mut hello = NET_MAGIC.to_le_bytes().to_vec();
         hello.push(NET_VERSION);
         stream.write_all(&hello)?;
@@ -874,7 +896,8 @@ impl NetClient {
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures and server-side rejections
+    /// Propagates I/O failures, among them a reply that misses the
+    /// client's deadline ([`ServeError::Io`]), and server-side rejections
     /// ([`ServeError::Remote`]).
     pub fn open(&mut self, tables: &Workload) -> Result<u64, ServeError> {
         let frameless = Workload::new(
@@ -900,8 +923,10 @@ impl NetClient {
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures and server-side rejections, among them a
-    /// shed whose server-side close failed ([`ServeError::Remote`]).
+    /// Propagates I/O failures, among them a reply that misses the
+    /// client's deadline ([`ServeError::Io`]), and server-side
+    /// rejections, among them a shed whose server-side close failed
+    /// ([`ServeError::Remote`]).
     pub fn ingest(&mut self, session: u64, frames: &[Frame]) -> Result<NetUpdate, ServeError> {
         let mut payload = session.to_le_bytes().to_vec();
         payload.extend_from_slice(&encode_frames(frames));
@@ -942,7 +967,9 @@ impl NetClient {
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures and server-side rejections.
+    /// Propagates I/O failures, among them a reply that misses the
+    /// client's deadline ([`ServeError::Io`]), and server-side
+    /// rejections.
     pub fn close(&mut self, session: u64) -> Result<SubsetUpdate, ServeError> {
         write_message(&mut self.stream, MSG_CLOSE, &session.to_le_bytes())?;
         let reply = self.expect_reply(MSG_CLOSED, "CLOSED")?;
@@ -1084,6 +1111,40 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         panic!("timed out waiting for {what}");
+    }
+
+    #[test]
+    fn a_listener_that_never_replies_fails_open_at_the_client_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let (release, hold) = std::sync::mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut hello = [0u8; 5];
+            stream.read_exact(&mut hello).expect("hello");
+            // Never reply, but keep the socket open until the client
+            // has given up.
+            let _ = hold.recv();
+        });
+        // The client runs on its own thread, so a client that waits
+        // forever fails this test instead of hanging it.
+        let (done, outcome) = std::sync::mpsc::channel();
+        let w = workload(1);
+        std::thread::spawn(move || {
+            let deadline = Duration::from_millis(200);
+            let opened = NetClient::connect_within(&addr, DEFAULT_MAX_MESSAGE_BYTES, deadline)
+                .and_then(|mut client| client.open(&w));
+            let _ = done.send(opened);
+        });
+        let opened = outcome
+            .recv_timeout(Duration::from_secs(30))
+            .expect("open must fail at its deadline, not hang");
+        assert!(
+            matches!(opened, Err(ServeError::Io { .. })),
+            "expected the read deadline to fail open, got {opened:?}"
+        );
+        drop(release);
+        peer.join().expect("peer");
     }
 
     #[test]

@@ -2,22 +2,38 @@
 //! `fault-injection` hook armed, a batch-cache hit returns its stored
 //! costs with `time_ns` flipped by one ulp — the smallest possible
 //! corruption — and the oracle must still name it. The same hook sits on
-//! the read a warm `SweepSession::sweep` makes, so the session's totals
-//! must move off the reference model's too.
+//! the rows a warm `SweepSession::sweep` reads, so every candidate's
+//! per-draw digest must move off the reference model's, on whole
+//! corpora where the totals alone can hide the flips.
 //!
 //! Gated behind `required-features = ["fault-injection"]`: plain
 //! `cargo test` never compiles the hook. Run via
 //! `cargo test -p subset3d-testkit --features fault-injection`.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use subset3d_gpusim::reference::reference_workload_cost;
 use subset3d_gpusim::{fault, ArchConfig, CacheMode, Simulator, SweepSession};
-use subset3d_testkit::corpus::golden_corpus;
+use subset3d_testkit::corpus::{golden_corpus, oracle_corpus};
 use subset3d_testkit::oracle::run_oracle;
 use subset3d_trace::{Frame, FrameId, Workload};
 
-/// Disarms the hook even if an assertion below panics, so a failure here
-/// cannot poison other tests in a shared process.
-struct Disarm;
+/// The hook is one process-global switch, and the tests of this binary
+/// run on parallel threads: each holds this lock while it may arm it.
+static HOOK: Mutex<()> = Mutex::new(());
+
+/// Holds [`HOOK`] for one test and disarms the hook even if an assertion
+/// below panics, so a failure here cannot poison the other test.
+struct Disarm {
+    _serial: MutexGuard<'static, ()>,
+}
+
+impl Disarm {
+    fn hold() -> Self {
+        Disarm {
+            _serial: HOOK.lock().unwrap_or_else(PoisonError::into_inner),
+        }
+    }
+}
 
 impl Drop for Disarm {
     fn drop(&mut self) {
@@ -27,7 +43,7 @@ impl Drop for Disarm {
 
 #[test]
 fn one_ulp_memo_corruption_is_caught() {
-    let _guard = Disarm;
+    let _guard = Disarm::hold();
     let (_, workload) = golden_corpus().remove(0);
     let sim = Simulator::new(ArchConfig::baseline());
     sim.set_cache_mode(CacheMode::On);
@@ -113,5 +129,45 @@ fn one_ulp_memo_corruption_is_caught() {
         }
         let fresh = SweepSession::new(&candidates).unwrap();
         assert_eq!(totals(&fresh), reference, "fresh session, disarmed");
+    }
+}
+
+#[test]
+fn one_ulp_sweep_corruption_moves_every_digest() {
+    let _guard = Disarm::hold();
+    let candidates = ArchConfig::pathfinding_candidates();
+    let corpora = golden_corpus().into_iter().chain(oracle_corpus());
+    for (name, workload) in corpora {
+        let reference: Vec<u64> = candidates
+            .iter()
+            .map(|c| reference_workload_cost(&workload, c).unwrap().digest())
+            .collect();
+        let digests = |session: &SweepSession| -> Vec<u64> {
+            session
+                .sweep(&workload)
+                .unwrap()
+                .iter()
+                .map(|p| p.digest)
+                .collect()
+        };
+        let session = SweepSession::new(&candidates).unwrap();
+        assert_eq!(digests(&session), reference, "{name}: cold sweep, disarmed");
+        // A warm sweep served from the rows with every time flipped: each
+        // candidate's digest must move, however the totals fare.
+        fault::arm();
+        let armed = digests(&session);
+        fault::disarm();
+        for (c, (a, r)) in armed.iter().zip(&reference).enumerate() {
+            assert_ne!(
+                a, r,
+                "{name}: armed one-ulp corruption left candidate {c}'s digest unchanged"
+            );
+        }
+        let fresh = SweepSession::new(&candidates).unwrap();
+        assert_eq!(
+            digests(&fresh),
+            reference,
+            "{name}: fresh session, disarmed"
+        );
     }
 }

@@ -10,15 +10,18 @@
 //! workload under the simulator's 1000-draw serial threshold — at 1, 2
 //! and 8 threads, and requires every total of every entry point (cold
 //! and warm session passes, an uncached session, both one-shot sweeps)
-//! to equal the struct-at-a-time reference model's bit for bit.
+//! to equal the struct-at-a-time reference model's bit for bit. Every
+//! entry point that returns `ConfigPoint`s must also carry the reference
+//! cost's per-draw digest, so a draw time that moves is caught even when
+//! the totals hide it.
 //!
 //! The test resizes the process-global pool, so it is the only test in
 //! this binary.
 
 use subset3d_gpusim::reference::reference_workload_cost;
 use subset3d_gpusim::{
-    sweep_configs, sweep_frequencies, ArchConfig, CacheMode, CacheStats, FrequencySweep, SimError,
-    Simulator, SweepSession, DEFAULT_BATCH_WIDTH,
+    sweep_configs, sweep_frequencies, ArchConfig, CacheMode, CacheStats, ConfigPoint,
+    FrequencySweep, SimError, Simulator, SweepSession, DEFAULT_BATCH_WIDTH,
 };
 use subset3d_testkit::corpus::oracle_corpus;
 use subset3d_trace::gen::GameProfile;
@@ -89,6 +92,22 @@ fn reference_totals(workload: &Workload, configs: &[ArchConfig]) -> Vec<f64> {
         .collect()
 }
 
+fn reference_digests(workload: &Workload, configs: &[ArchConfig]) -> Vec<u64> {
+    configs
+        .iter()
+        .map(|config| {
+            reference_workload_cost(workload, config)
+                .expect("reference")
+                .digest()
+        })
+        .collect()
+}
+
+fn assert_digests(context: &str, expected: &[u64], points: &[ConfigPoint]) {
+    let got: Vec<u64> = points.iter().map(|p| p.digest).collect();
+    assert_eq!(got, expected, "{context}: per-draw digests");
+}
+
 fn assert_bits(context: &str, expected: &[f64], got: impl IntoIterator<Item = f64>) {
     let got: Vec<f64> = got.into_iter().collect();
     assert_eq!(got.len(), expected.len(), "{context}: point count");
@@ -125,12 +144,13 @@ fn every_sweep_entry_point_matches_the_reference_bit_for_bit() {
     workloads.push(("ragged".to_string(), ragged));
     workloads.push(("small".to_string(), small));
 
-    let expected: Vec<(Vec<f64>, Vec<f64>)> = workloads
+    let expected: Vec<(Vec<f64>, Vec<f64>, Vec<u64>)> = workloads
         .iter()
         .map(|(_, w)| {
             (
                 reference_totals(w, &candidates),
                 reference_totals(w, &freq_configs),
+                reference_digests(w, &candidates),
             )
         })
         .collect();
@@ -148,13 +168,15 @@ fn every_sweep_entry_point_matches_the_reference_bit_for_bit() {
 
     for threads in [1, 2, 8] {
         subset3d_exec::with_thread_count(threads, || {
-            for ((name, w), (configs_ref, freq_ref)) in workloads.iter().zip(&expected) {
+            for ((name, w), (configs_ref, freq_ref, digests_ref)) in workloads.iter().zip(&expected)
+            {
                 let ctx = |what: &str| format!("{name}/{what}/{threads}t");
                 let batches = candidates.len() as u64 * batch_count(w);
 
                 let session = SweepSession::new(&candidates).expect("session");
                 let cold = session.sweep(w).expect("cold sweep");
                 assert_bits(&ctx("cold"), configs_ref, cold.iter().map(|p| p.total_ns));
+                assert_digests(&ctx("cold"), digests_ref, &cold);
                 assert_eq!(
                     session.cache_stats(),
                     CacheStats {
@@ -166,6 +188,7 @@ fn every_sweep_entry_point_matches_the_reference_bit_for_bit() {
                 );
                 let warm = session.sweep(w).expect("warm sweep");
                 assert_bits(&ctx("warm"), configs_ref, warm.iter().map(|p| p.total_ns));
+                assert_digests(&ctx("warm"), digests_ref, &warm);
                 assert_eq!(
                     session.cache_stats(),
                     CacheStats {
@@ -184,6 +207,7 @@ fn every_sweep_entry_point_matches_the_reference_bit_for_bit() {
                 uncached.set_cache_mode(CacheMode::Off);
                 let off = uncached.sweep(w).expect("uncached sweep");
                 assert_bits(&ctx("off"), configs_ref, off.iter().map(|p| p.total_ns));
+                assert_digests(&ctx("off"), digests_ref, &off);
                 assert_eq!(
                     uncached.cache_stats(),
                     CacheStats::default(),
@@ -197,6 +221,7 @@ fn every_sweep_entry_point_matches_the_reference_bit_for_bit() {
                     configs_ref,
                     configs.iter().map(|p| p.total_ns),
                 );
+                assert_digests(&ctx("sweep_configs"), digests_ref, &configs);
 
                 let points = sweep_frequencies(w, &base, &freq).expect("sweep_frequencies");
                 assert_bits(

@@ -128,9 +128,10 @@ cargo run -p subset3d-bench --bin bench_diff --release -- \
 
 # Speedup floors, hard gates: memoization must actually win. The
 # iterated sweep is the scenario whose speedup the memo design owns
-# (warm passes served wholesale from the batch caches; 1.8x on one
-# core, where the uncached baseline already prepares each draw once for
-# all six candidates, so the ratio is the caches' share alone), so it
+# (warm passes served wholesale from the session's one row of draw
+# times per batch, one probe for all six candidates; 1.8x on one core,
+# where the uncached baseline already prepares each draw once for all
+# six candidates, so the ratio is the rows' share alone), so it
 # carries an absolute floor that fails the build even under --check.
 # The cold workload_sim pass carries the same 1.0 floor: it
 # runs the default CacheMode::Off, which computes no digests, probes or
