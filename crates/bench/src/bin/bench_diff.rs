@@ -22,7 +22,10 @@
 //!
 //! `--max-overhead` adds an absolute budget on top of the relative
 //! comparison: any candidate `*_overhead_pct` above the budget fails
-//! even if the baseline was equally bad.
+//! even if the baseline was equally bad. Every overhead row also shows
+//! the candidate's interquartile range of paired readings; a row whose
+//! IQR is wider than the budget is marked `unresolved` and judged
+//! neither way, since its median cannot tell a regression from noise.
 //!
 //! `--min-speedup` is an absolute floor on the candidate's scenario
 //! speedups: any selected speedup row below the floor fails **even
@@ -154,10 +157,14 @@ enum Delta {
 
 /// One compared metric. `higher_is_better` decides the regression
 /// direction: speedups regress downward, overheads regress upward.
+/// `cand_iqr` is an overhead's interquartile range of paired readings
+/// on the candidate, in percentage points (`0.0` for speedups and for
+/// reports predating the field).
 struct Row {
     name: &'static str,
     base: f64,
     cand: f64,
+    cand_iqr: f64,
     higher_is_better: bool,
 }
 
@@ -182,6 +189,12 @@ impl Row {
 
     fn is_speedup(&self) -> bool {
         self.higher_is_better
+    }
+
+    /// Whether this overhead's candidate readings spread wider than the
+    /// budget it would be judged against.
+    fn unresolved(&self, budget: Option<f64>) -> bool {
+        self.is_overhead() && budget.is_some_and(|b| self.cand_iqr > b)
     }
 }
 
@@ -224,6 +237,7 @@ fn rows(base: &Report, cand: &Report) -> Vec<Row> {
             name,
             base: b.speedup,
             cand: c.speedup,
+            cand_iqr: 0.0,
             higher_is_better: true,
         })
         .collect();
@@ -231,18 +245,21 @@ fn rows(base: &Report, cand: &Report) -> Vec<Row> {
         name: "metrics_overhead_pct",
         base: clamp_overhead(base.metrics_overhead_pct),
         cand: clamp_overhead(cand.metrics_overhead_pct),
+        cand_iqr: cand.metrics_overhead_iqr_pct,
         higher_is_better: false,
     });
     out.push(Row {
         name: "trace_overhead_pct",
         base: clamp_overhead(base.trace_overhead_pct),
         cand: clamp_overhead(cand.trace_overhead_pct),
+        cand_iqr: cand.trace_overhead_iqr_pct,
         higher_is_better: false,
     });
     out.push(Row {
         name: "telemetry_overhead_pct",
         base: clamp_overhead(base.telemetry_overhead_pct),
         cand: clamp_overhead(cand.telemetry_overhead_pct),
+        cand_iqr: cand.telemetry_overhead_iqr_pct,
         higher_is_better: false,
     });
     out
@@ -257,14 +274,15 @@ fn clamp_overhead(pct: f64) -> f64 {
 }
 
 /// Regressions found when judging `rows` under the given policy.
-/// Each entry is `(metric name, human-readable reason)`.
+/// Each entry is `(metric name, human-readable reason)`. Unresolved
+/// overhead rows (see [`Row::unresolved`]) are judged neither way.
 fn judge(
     rows: &[Row],
     threshold_pct: f64,
     max_overhead_pct: Option<f64>,
 ) -> Vec<(&'static str, String)> {
     let mut regressions = Vec::new();
-    for row in rows {
+    for row in rows.iter().filter(|row| !row.unresolved(max_overhead_pct)) {
         match row.delta() {
             Delta::RelPct(d) | Delta::AbsPp(d) if d > threshold_pct => {
                 regressions.push((row.name, format!("{d:.2} worse")));
@@ -380,11 +398,16 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "\n{:<34} {:>12} {:>12} {:>10}",
-        "metric", "baseline", "candidate", "delta"
+        "\n{:<34} {:>12} {:>12} {:>10} {:>10}",
+        "metric", "baseline", "candidate", "delta", "cand IQR"
     );
     for row in &selected {
         let regressed = regressions.iter().any(|(name, _)| *name == row.name);
+        let iqr_text = if row.is_overhead() {
+            format!("{:>8.2}pp", row.cand_iqr)
+        } else {
+            " ".repeat(10)
+        };
         let (delta_text, verdict) = match row.delta() {
             Delta::RelPct(d) => (
                 format!("{d:>9.2}%"),
@@ -397,9 +420,14 @@ fn main() -> ExitCode {
             Delta::AbsUnjudged(d) => (format!("{d:>+9.3} abs"), "n/a (degenerate baseline)"),
             Delta::NotComparable => ("       n/a".to_string(), "n/a"),
         };
+        let verdict = if row.unresolved(args.max_overhead_pct) {
+            "unresolved (IQR wider than budget)"
+        } else {
+            verdict
+        };
         println!(
-            "{:<34} {:>12.3} {:>12.3} {} {}",
-            row.name, row.base, row.cand, delta_text, verdict,
+            "{:<34} {:>12.3} {:>12.3} {} {} {}",
+            row.name, row.base, row.cand, delta_text, iqr_text, verdict,
         );
     }
     println!("\nwall times (machine-dependent, for context):");
@@ -480,6 +508,7 @@ mod tests {
             name: "s",
             base: 0.0,
             cand: 3.0,
+            cand_iqr: 0.0,
             higher_is_better: true,
         };
         match row.delta() {
@@ -492,6 +521,7 @@ mod tests {
             name: "s",
             base: 0.0,
             cand: -100.0,
+            cand_iqr: 0.0,
             higher_is_better: true,
         };
         assert!(judge(&[row, down], 0.0, None).is_empty());
@@ -503,6 +533,7 @@ mod tests {
             name: "metrics_overhead_pct",
             base: 1.0,
             cand: 4.5,
+            cand_iqr: 0.0,
             higher_is_better: false,
         };
         match row.delta() {
@@ -520,6 +551,7 @@ mod tests {
             name: "metrics_overhead_pct",
             base: 5.0,
             cand: 5.1,
+            cand_iqr: 0.0,
             higher_is_better: false,
         };
         assert!(judge(std::slice::from_ref(&row), 2.0, None).is_empty());
@@ -545,18 +577,21 @@ mod tests {
             name: "workload_sim.speedup",
             base: 0.9,
             cand: 0.95,
+            cand_iqr: 0.0,
             higher_is_better: true,
         };
         let fast = Row {
             name: "iterated_sweep.speedup",
             base: 2.0,
             cand: 2.5,
+            cand_iqr: 0.0,
             higher_is_better: true,
         };
         let overhead = Row {
             name: "metrics_overhead_pct",
             base: 0.5,
             cand: 0.6,
+            cand_iqr: 0.0,
             higher_is_better: false,
         };
         let rows = [slow, fast, overhead];
@@ -579,6 +614,7 @@ mod tests {
             name: "metrics_overhead_pct",
             base: clamp_overhead(-2.32),
             cand: clamp_overhead(0.5),
+            cand_iqr: 0.0,
             higher_is_better: false,
         };
         match row.delta() {
@@ -592,6 +628,7 @@ mod tests {
             name: "trace_overhead_pct",
             base: clamp_overhead(1.0),
             cand: clamp_overhead(-0.3),
+            cand_iqr: 0.0,
             higher_is_better: false,
         };
         assert!(judge(&[neg_cand], 10.0, Some(0.1)).is_empty());
@@ -603,8 +640,38 @@ mod tests {
             name: "workload_sim.speedup",
             base: 3.0,
             cand: 3.0,
+            cand_iqr: 0.0,
             higher_is_better: true,
         };
         assert!(judge(&[row], 10.0, Some(0.0)).is_empty());
+    }
+
+    fn overhead(cand: f64, cand_iqr: f64) -> Row {
+        Row {
+            name: "telemetry_overhead_pct",
+            base: 0.2,
+            cand,
+            cand_iqr,
+            higher_is_better: false,
+        }
+    }
+
+    #[test]
+    fn overhead_wider_than_its_budget_is_unresolved_not_regressed() {
+        // Six runs of one binary once read 0.15–3.12 %: a 2.4 % median
+        // over a 2 % budget says nothing when its IQR is 2.1 pp.
+        let noisy = overhead(2.4, 2.1);
+        assert!(noisy.unresolved(Some(2.0)));
+        assert!(judge(&[noisy], 2.0, Some(2.0)).is_empty());
+    }
+
+    #[test]
+    fn overhead_whose_iqr_fits_the_budget_is_judged_as_before() {
+        let tight = overhead(2.4, 2.0);
+        assert!(!tight.unresolved(Some(2.0)));
+        let hits = judge(&[tight], 2.0, Some(2.0));
+        assert_eq!(hits.len(), 2, "drift and budget: {hits:?}");
+        // With no budget there is nothing to be unresolved against.
+        assert_eq!(judge(&[overhead(2.4, 9.0)], 2.0, None).len(), 1);
     }
 }

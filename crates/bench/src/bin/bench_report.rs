@@ -1,22 +1,21 @@
 //! Pipeline throughput report: measures the effect of the shared
-//! work-stealing executor and draw-cost memoization against a
+//! work-stealing executor and a sweep session's memo rows against a
 //! single-thread, uncached baseline, and records both in
 //! `BENCH_pipeline.json` at the repository root.
 //!
 //! Three scenarios, all on the same generated game trace:
 //!
-//! * **workload_sim** — one cold `simulate_workload` pass in the
-//!   out-of-the-box configuration (`CacheMode::Off`, default threads). A
-//!   single pass never revisits a batch, so the default policy computes
-//!   no digests and retains nothing: any speedup here is the thread
-//!   pool's;
+//! * **workload_sim** — one cold `simulate_workload` pass at default
+//!   threads. A `Simulator` keeps no cache, so any speedup here is the
+//!   thread pool's;
 //! * **iterated_sweep** — `SWEEP_PASSES` passes of the six-candidate
 //!   pathfinding sweep through a `SweepSession`, the shape of the
 //!   iterative pathfinding loop. Every pass after the first is served
-//!   wholesale from the batch caches;
+//!   wholesale from the session's rows; the baseline runs the same walk
+//!   with no rows (`sweep_configs`) on one thread;
 //! * **subsetting_pipeline** — clustering + evaluation end to end.
 //!
-//! Every scenario is also run single-threaded with memoization off (the
+//! Every scenario is also run single-threaded with no memo (the
 //! pre-executor behaviour); each timing is the best of three runs. Only
 //! the iterated sweep engages the batch cache, so it alone reports a
 //! batch hit rate.
@@ -25,7 +24,8 @@
 //! recording and flight-mode event tracing (`metrics_overhead_pct` and
 //! `trace_overhead_pct`: medians of five interleaved off/on pairs on the
 //! workload_sim shape, clamped at zero with the signed medians kept in
-//! `*_raw_pct`, budget < 2 %), embeds the `MetricsSnapshot` of an
+//! `*_raw_pct` and the pairs' interquartile ranges in `*_iqr_pct`,
+//! budget < 2 %), embeds the `MetricsSnapshot` of an
 //! instrumented sweep-plus-pipeline pass, and runs the backend bake-off:
 //! every clustering methodology scored on prediction error, subsetting
 //! efficiency and outlier fraction across the three game profiles. The
@@ -77,11 +77,13 @@ fn main() {
     println!(
         "metrics overhead: {:.2}% | trace overhead (flight mode): {:.2}% \
          (medians of {OVERHEAD_REPS} interleaved off/on pairs, clamped at 0; \
-         raw {:.2}% / {:.2}%)",
+         raw {:.2}% / {:.2}%, IQR {:.2} / {:.2} pp)",
         report.metrics_overhead_pct,
         report.trace_overhead_pct,
         report.metrics_overhead_raw_pct,
         report.trace_overhead_raw_pct,
+        report.metrics_overhead_iqr_pct,
+        report.trace_overhead_iqr_pct,
     );
     if let Some(s) = &report.serve_replay {
         println!(

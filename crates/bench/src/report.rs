@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 use subset3d_core::{ClusterMethod, SubsetConfig, Subsetter};
-use subset3d_gpusim::{ArchConfig, CacheMode, Simulator, SweepSession};
+use subset3d_gpusim::{sweep_configs, ArchConfig, Simulator, SweepSession};
 use subset3d_serve::{
     replay, replay_remote, NetServer, NetServerConfig, RemoteReplay, ReplayOptions, ReplayOutcome,
     ServeConfig, TelemetryOptions,
@@ -44,17 +44,18 @@ pub struct Measurement {
 /// keys are ignored on load, so old reports still diff.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
-    /// One thread, memoization off — the pre-executor behaviour.
+    /// One thread, no memo — the pre-executor behaviour. The iterated
+    /// sweep's arm runs `sweep_configs`, the session's walk without rows.
     pub single_thread_uncached: Measurement,
-    /// Default threads, the path's own cache policy: the out-of-the-box
-    /// `CacheMode::Off` for single passes, the session's `CacheMode::On`
-    /// for the iterated sweep.
+    /// Default threads, the path's own memo: none for single passes (a
+    /// `Simulator` keeps nothing), a `SweepSession`'s rows for the
+    /// iterated sweep.
     pub parallel_memoized: Measurement,
     /// `single_thread_uncached / parallel_memoized` wall-time ratio.
     pub speedup: f64,
     /// Batch cache hit rate of the optimized arm; `null` when no batch
-    /// lookup was served (zero hits), as on single-pass scenarios, whose
-    /// cache is off. The alias keeps pre-columnar reports (which
+    /// lookup was served (zero hits), as on single-pass scenarios, which
+    /// have no cache. The alias keeps pre-columnar reports (which
     /// recorded a per-frame cache) deserializable.
     #[serde(alias = "frame_cache_hit_rate")]
     pub batch_cache_hit_rate: Option<f64>,
@@ -90,6 +91,13 @@ pub struct Report {
     /// Absent from reports predating the clamp, hence the default.
     #[serde(default)]
     pub metrics_overhead_raw_pct: f64,
+    /// Interquartile range of the paired percentages behind
+    /// `metrics_overhead_pct`, in percentage points: how far apart the
+    /// pairs' readings lie. `bench_diff` leaves a row unresolved, not
+    /// regressed, when this is wider than its budget. Absent from reports
+    /// predating the field, hence the default.
+    #[serde(default)]
+    pub metrics_overhead_iqr_pct: f64,
     /// Wall-time cost of flight-recorder event tracing on the same
     /// shape, measured and clamped like `metrics_overhead_pct`. Absent
     /// from reports predating the tracing layer, hence the default.
@@ -98,6 +106,10 @@ pub struct Report {
     /// The unclamped signed median behind `trace_overhead_pct`.
     #[serde(default)]
     pub trace_overhead_raw_pct: f64,
+    /// Interquartile range behind `trace_overhead_pct`, like
+    /// `metrics_overhead_iqr_pct`.
+    #[serde(default)]
+    pub trace_overhead_iqr_pct: f64,
     /// Wall-time cost of time-series telemetry on the serve-replay
     /// shape: a telemetry-on replay (metric recording plus an
     /// interval-zero sampler cutting a window every chunk round — the
@@ -109,9 +121,13 @@ pub struct Report {
     /// The unclamped signed median behind `telemetry_overhead_pct`.
     #[serde(default)]
     pub telemetry_overhead_raw_pct: f64,
-    /// Wall time of one differential-oracle comparison over the testkit
-    /// corpus (all cache modes, both passes) — the price of the tier-1
-    /// `testkit` step, tracked so harness regressions are visible.
+    /// Interquartile range behind `telemetry_overhead_pct`, like
+    /// `metrics_overhead_iqr_pct`.
+    #[serde(default)]
+    pub telemetry_overhead_iqr_pct: f64,
+    /// Wall time of one differential-oracle pass over each testkit corpus
+    /// workload — the price of the tier-1 `testkit` step, tracked so
+    /// harness regressions are visible.
     pub oracle_check_ms: f64,
     /// Snapshot of an instrumented sweep-plus-pipeline pass.
     pub metrics: subset3d_obs::MetricsSnapshot,
@@ -250,28 +266,39 @@ pub fn best_ms(mut f: impl FnMut(), runs: usize) -> f64 {
 /// timing `bench_diff` uses for fresh runs.
 pub fn median_ms(mut f: impl FnMut(), runs: usize) -> f64 {
     let samples: Vec<f64> = (0..runs.max(1)).map(|_| one_ms(&mut f)).collect();
-    median(samples)
+    subset3d_stats::median(&samples).expect("wall times are never NaN")
 }
 
-/// Median of a sample set (mean of the middle two for even counts).
-/// Panics on an empty input — callers always measure at least once.
-pub fn median(mut values: Vec<f64>) -> f64 {
-    assert!(!values.is_empty(), "median of no samples");
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let n = values.len();
-    if n % 2 == 1 {
-        values[n / 2]
-    } else {
-        (values[n / 2 - 1] + values[n / 2]) / 2.0
+/// The paired percentages behind one overhead reading, summarised.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairedOverhead {
+    /// Signed median of the paired percentages.
+    pub median_pct: f64,
+    /// Their interquartile range (p75 − p25), in percentage points.
+    pub iqr_pct: f64,
+}
+
+impl PairedOverhead {
+    /// Median and interquartile range of `pcts`; both `0.0` for no
+    /// samples.
+    fn of(pcts: &[f64]) -> Self {
+        let quartile = |p| subset3d_stats::percentile(pcts, p).unwrap_or(0.0);
+        PairedOverhead {
+            median_pct: quartile(50.0),
+            iqr_pct: quartile(75.0) - quartile(25.0),
+        }
     }
 }
 
-/// Median relative overhead, in percent, of `with` over `without`:
+/// Relative overhead, in percent, of `with` over `without`:
 /// [`OVERHEAD_REPS`] interleaved pairs so drift hits both arms equally.
 /// Pairs whose baseline arm is too fast to time (0 ms on a coarse clock)
 /// have no meaningful ratio and are skipped; if every pair degenerates,
 /// the overhead is reported as `0.0` rather than `inf`/`NaN`.
-pub fn paired_overhead_pct(mut without: impl FnMut() -> f64, mut with: impl FnMut() -> f64) -> f64 {
+pub fn paired_overhead_pct(
+    mut without: impl FnMut() -> f64,
+    mut with: impl FnMut() -> f64,
+) -> PairedOverhead {
     let pcts: Vec<f64> = (0..OVERHEAD_REPS)
         .filter_map(|_| {
             let off = without();
@@ -279,10 +306,7 @@ pub fn paired_overhead_pct(mut without: impl FnMut() -> f64, mut with: impl FnMu
             (off > 0.0).then(|| (on - off) / off * 100.0)
         })
         .collect();
-    if pcts.is_empty() {
-        return 0.0;
-    }
-    median(pcts)
+    PairedOverhead::of(&pcts)
 }
 
 /// The workload every scenario runs on.
@@ -480,15 +504,14 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
     // Thread-count changes happen OUTSIDE the timed closures: resizing
     // spawns a fresh pool, and measuring that re-spawn used to shave the
     // parallel arms' speedups below their true value. The single-pass
-    // scenarios run the out-of-the-box `CacheMode::Off`, which makes no
-    // batch lookups, so they report no hit rate.
+    // scenarios run a `Simulator`, which keeps no cache, so they report
+    // no hit rate.
 
     // -- workload simulation (cold, out-of-the-box) --------------------
     subset3d_exec::set_thread_count(1);
     let base = timer(
         &mut || {
             let sim = Simulator::new(ArchConfig::baseline());
-            sim.set_cache_mode(CacheMode::Off);
             sim.simulate_workload(&workload).expect("simulate");
         },
         RUNS,
@@ -514,10 +537,8 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
     subset3d_exec::set_thread_count(1);
     let base = timer(
         &mut || {
-            let session = SweepSession::new(&candidates).expect("session");
-            session.set_cache_mode(CacheMode::Off);
             for _ in 0..SWEEP_PASSES {
-                session.sweep(&workload).expect("sweep");
+                sweep_configs(&workload, &candidates).expect("sweep");
             }
         },
         RUNS,
@@ -544,7 +565,6 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
     let base = timer(
         &mut || {
             let sim = Simulator::new(ArchConfig::baseline());
-            sim.set_cache_mode(CacheMode::Off);
             Subsetter::new(SubsetConfig::default())
                 .run(&workload, &sim)
                 .expect("pipeline");
@@ -570,7 +590,7 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
         let sim = Simulator::new(ArchConfig::baseline());
         sim.simulate_workload(&workload).expect("simulate");
     };
-    let metrics_overhead_raw_pct = paired_overhead_pct(
+    let metrics_overhead = paired_overhead_pct(
         || one_ms(sim_pass),
         || {
             subset3d_obs::reset();
@@ -580,7 +600,7 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
             ms
         },
     );
-    let trace_overhead_raw_pct = paired_overhead_pct(
+    let trace_overhead = paired_overhead_pct(
         || one_ms(sim_pass),
         || {
             subset3d_obs::start_tracing(subset3d_obs::TraceMode::Flight);
@@ -608,16 +628,13 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
 
     // -- differential-oracle wall time ---------------------------------
     let oracle_corpus = subset3d_testkit::corpus::oracle_corpus();
+    let oracle_sim = Simulator::new(ArchConfig::baseline());
     let oracle_check_ms = timer(
         &mut || {
             for (name, workload) in &oracle_corpus {
-                subset3d_testkit::oracle::run_oracle_all_modes(
-                    name,
-                    workload,
-                    &ArchConfig::baseline(),
-                )
-                .expect("oracle")
-                .assert_clean();
+                subset3d_testkit::oracle::run_oracle(name, workload, &oracle_sim)
+                    .expect("oracle")
+                    .assert_clean();
             }
         },
         RUNS,
@@ -656,7 +673,7 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
             ..TelemetryOptions::default()
         }),
     };
-    let telemetry_overhead_raw_pct = paired_overhead_pct(
+    let telemetry_overhead = paired_overhead_pct(
         || {
             median_ms(
                 || {
@@ -684,12 +701,15 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
         workload_sim,
         iterated_sweep,
         subsetting_pipeline,
-        metrics_overhead_pct: metrics_overhead_raw_pct.max(0.0),
-        metrics_overhead_raw_pct,
-        trace_overhead_pct: trace_overhead_raw_pct.max(0.0),
-        trace_overhead_raw_pct,
-        telemetry_overhead_pct: telemetry_overhead_raw_pct.max(0.0),
-        telemetry_overhead_raw_pct,
+        metrics_overhead_pct: metrics_overhead.median_pct.max(0.0),
+        metrics_overhead_raw_pct: metrics_overhead.median_pct,
+        metrics_overhead_iqr_pct: metrics_overhead.iqr_pct,
+        trace_overhead_pct: trace_overhead.median_pct.max(0.0),
+        trace_overhead_raw_pct: trace_overhead.median_pct,
+        trace_overhead_iqr_pct: trace_overhead.iqr_pct,
+        telemetry_overhead_pct: telemetry_overhead.median_pct.max(0.0),
+        telemetry_overhead_raw_pct: telemetry_overhead.median_pct,
+        telemetry_overhead_iqr_pct: telemetry_overhead.iqr_pct,
         oracle_check_ms,
         metrics,
         bakeoff: collect_bakeoff(),
@@ -734,10 +754,13 @@ mod tests {
             subsetting_pipeline: s,
             metrics_overhead_pct: 0.0,
             metrics_overhead_raw_pct: -0.5,
+            metrics_overhead_iqr_pct: 0.5,
             trace_overhead_pct: 1.25,
             trace_overhead_raw_pct: 1.25,
+            trace_overhead_iqr_pct: 1.5,
             telemetry_overhead_pct: 0.75,
             telemetry_overhead_raw_pct: 0.75,
+            telemetry_overhead_iqr_pct: 2.5,
             oracle_check_ms: 12.0,
             metrics: subset3d_obs::MetricsSnapshot::default(),
             bakeoff: vec![BackendScore {
@@ -764,13 +787,6 @@ mod tests {
                 wire_overhead_ratio: 1.2,
             }),
         }
-    }
-
-    #[test]
-    fn median_handles_odd_even_and_unsorted() {
-        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 2.5);
-        assert_eq!(median(vec![7.0]), 7.0);
     }
 
     #[test]
@@ -932,11 +948,43 @@ mod tests {
         let json = serde_json::to_string(&sample_report()).unwrap();
         let stripped = json
             .replace("\"telemetry_overhead_pct\":0.75,", "")
-            .replace("\"telemetry_overhead_raw_pct\":0.75,", "");
+            .replace("\"telemetry_overhead_raw_pct\":0.75,", "")
+            .replace("\"telemetry_overhead_iqr_pct\":2.5,", "");
         assert!(!stripped.contains("telemetry_overhead"));
         let back: Report = serde_json::from_str(&stripped).unwrap();
         assert_eq!(back.telemetry_overhead_pct, 0.0);
         assert_eq!(back.telemetry_overhead_raw_pct, 0.0);
+    }
+
+    #[test]
+    fn reports_without_overhead_iqrs_still_deserialize() {
+        // Committed BENCH files from before the IQR fields lack them;
+        // `#[serde(default)]` must absorb that.
+        let json = serde_json::to_string(&sample_report()).unwrap();
+        let stripped = json
+            .replace("\"metrics_overhead_iqr_pct\":0.5,", "")
+            .replace("\"trace_overhead_iqr_pct\":1.5,", "")
+            .replace("\"telemetry_overhead_iqr_pct\":2.5,", "");
+        assert!(!stripped.contains("iqr_pct"));
+        let back: Report = serde_json::from_str(&stripped).unwrap();
+        assert_eq!(back.metrics_overhead_iqr_pct, 0.0);
+        assert_eq!(back.telemetry_overhead_iqr_pct, 0.0);
+    }
+
+    #[test]
+    fn paired_overhead_reports_median_and_interquartile_range() {
+        // Sorted: -1, 0.5, 1, 2, 3 — quartiles 0.5 and 2.
+        let overhead = PairedOverhead::of(&[3.0, -1.0, 0.5, 2.0, 1.0]);
+        let expected = PairedOverhead {
+            median_pct: 1.0,
+            iqr_pct: 1.5,
+        };
+        assert_eq!(overhead, expected);
+        let none = PairedOverhead {
+            median_pct: 0.0,
+            iqr_pct: 0.0,
+        };
+        assert_eq!(PairedOverhead::of(&[]), none);
     }
 
     #[test]

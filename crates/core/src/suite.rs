@@ -124,17 +124,21 @@ pub fn subset_suite(
 ///
 /// # Errors
 ///
-/// Propagates simulator/subset errors; fails when the sweep has fewer than
-/// two points.
+/// Returns [`SubsetError::Simulation`] with
+/// [`subset3d_gpusim::SimError::InvalidConfig`] when `base` is invalid at
+/// any swept clock, before simulating; propagates simulator/subset
+/// errors; fails when the sweep has fewer than two points.
 pub fn validate_suite_scaling(
     workloads: &[Workload],
     outcome: &SuiteOutcome,
     base: &ArchConfig,
     sweep: &FrequencySweep,
 ) -> Result<(Vec<f64>, Vec<f64>, f64), SubsetError> {
+    let configs = sweep.configs(base);
+    configs.iter().try_for_each(ArchConfig::validate)?;
     let mut parent_times = Vec::with_capacity(sweep.len());
     let mut subset_times = Vec::with_capacity(sweep.len());
-    for config in sweep.configs(base) {
+    for config in configs {
         let sim = Simulator::new(config);
         let mut parent = 0.0;
         let mut subset = 0.0;
@@ -200,6 +204,22 @@ mod tests {
         assert_eq!(parent.len(), 3);
         assert_eq!(subset.len(), 3);
         assert!(r > 0.99, "r = {r}");
+    }
+
+    #[test]
+    fn suite_scaling_rejects_an_invalid_base() {
+        let workloads = suite();
+        let sim = Simulator::new(ArchConfig::baseline());
+        let outcome = subset_suite(&workloads, &SubsetConfig::default(), &sim).unwrap();
+        let mut base = ArchConfig::baseline();
+        base.eu_count = 0;
+        let sweep = FrequencySweep::new(vec![500.0, 900.0]);
+        assert!(matches!(
+            validate_suite_scaling(&workloads, &outcome, &base, &sweep),
+            Err(SubsetError::Simulation(
+                subset3d_gpusim::SimError::InvalidConfig { .. }
+            ))
+        ));
     }
 
     #[test]

@@ -27,7 +27,10 @@ pub struct ScalingValidation {
 ///
 /// # Errors
 ///
-/// Propagates simulator and subset errors; also fails when the sweep has
+/// Returns [`SubsetError::Simulation`] with
+/// [`subset3d_gpusim::SimError::InvalidConfig`] when `base` is invalid at
+/// any swept clock, before simulating;
+/// propagates simulator and subset errors; also fails when the sweep has
 /// fewer than two points (correlation undefined).
 ///
 /// # Examples
@@ -52,9 +55,11 @@ pub fn frequency_scaling_validation(
     base: &ArchConfig,
     sweep: &FrequencySweep,
 ) -> Result<ScalingValidation, SubsetError> {
+    let configs = sweep.configs(base);
+    configs.iter().try_for_each(ArchConfig::validate)?;
     let mut parent_times = Vec::with_capacity(sweep.len());
     let mut subset_times = Vec::with_capacity(sweep.len());
-    for (i, config) in sweep.configs(base).into_iter().enumerate() {
+    for (i, config) in configs.into_iter().enumerate() {
         let _t = subset3d_obs::trace_span_arg("gpusim", "sweep.candidate", "index", i as u64);
         let sim = Simulator::new(config);
         parent_times.push(sim.simulate_workload(workload)?.total_ns);
@@ -82,13 +87,16 @@ pub fn frequency_scaling_validation(
 ///
 /// # Errors
 ///
-/// Propagates simulator and subset errors; fails for fewer than two
-/// candidates.
+/// Returns [`SubsetError::Simulation`] with
+/// [`subset3d_gpusim::SimError::InvalidConfig`] for an invalid candidate,
+/// before simulating; propagates simulator and subset errors; fails for
+/// fewer than two candidates.
 pub fn pathfinding_rank_validation(
     workload: &Workload,
     subset: &WorkloadSubset,
     candidates: &[ArchConfig],
 ) -> Result<(Vec<f64>, Vec<f64>, f64), SubsetError> {
+    candidates.iter().try_for_each(ArchConfig::validate)?;
     let mut parent = Vec::with_capacity(candidates.len());
     let mut estimate = Vec::with_capacity(candidates.len());
     for (i, config) in candidates.iter().enumerate() {
@@ -108,6 +116,7 @@ mod tests {
     use super::*;
     use crate::config::SubsetConfig;
     use crate::pipeline::Subsetter;
+    use subset3d_gpusim::SimError;
     use subset3d_trace::gen::GameProfile;
 
     fn setup() -> (Workload, WorkloadSubset) {
@@ -155,5 +164,33 @@ mod tests {
         assert_eq!(parent.len(), 6);
         assert_eq!(estimate.len(), 6);
         assert!(agreement >= 0.5, "agreement {agreement}");
+    }
+
+    fn invalid(name: &str) -> ArchConfig {
+        let mut config = ArchConfig::baseline();
+        config.name = name.to_string();
+        config.eu_count = 0;
+        config
+    }
+
+    #[test]
+    fn scaling_validation_rejects_an_invalid_base() {
+        let (w, subset) = setup();
+        let sweep = FrequencySweep::new(vec![500.0, 1000.0]);
+        // The first swept config names the failure.
+        assert!(matches!(
+            frequency_scaling_validation(&w, &subset, &invalid("bad"), &sweep),
+            Err(SubsetError::Simulation(SimError::InvalidConfig { name })) if name == "bad@500MHz"
+        ));
+    }
+
+    #[test]
+    fn rank_validation_rejects_an_invalid_candidate() {
+        let (w, subset) = setup();
+        let candidates = [ArchConfig::baseline(), invalid("bad")];
+        assert!(matches!(
+            pathfinding_rank_validation(&w, &subset, &candidates),
+            Err(SubsetError::Simulation(SimError::InvalidConfig { name })) if name == "bad"
+        ));
     }
 }

@@ -75,8 +75,8 @@ fn results_are_bit_identical_at_any_thread_count() {
         let snapshot = subset3d_obs::snapshot();
         subset3d_obs::set_enabled(false);
         compare(&observed, &reference, threads);
-        // The sweep session simulates in `CacheMode::On`, so its cold
-        // pass probes (and misses) the batch cache once per batch.
+        // The sweep session keeps rows from its first sweep on, so its
+        // cold pass probes (and misses) the batch cache once per batch.
         let batch_lookups = snapshot.counter("gpusim.batch_cache.misses").unwrap_or(0)
             + snapshot.counter("gpusim.batch_cache.hits").unwrap_or(0);
         assert!(

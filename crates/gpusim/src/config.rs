@@ -1,5 +1,6 @@
 //! Architecture configurations: the design points pathfinding explores.
 
+use crate::error::SimError;
 use serde::{Deserialize, Serialize};
 
 /// A GPU architecture configuration (a pathfinding design point).
@@ -193,6 +194,24 @@ impl ArchConfig {
             && self.tex_cache_kib > 0
             && self.l2_cache_kib > 0
             && self.register_file_per_thread > 0
+    }
+
+    /// [`ArchConfig::is_valid`] as a typed error, so a sweep or
+    /// validation over several configs can reject the first invalid one
+    /// before spending any simulation work on the others.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] naming this config when it is
+    /// invalid.
+    pub fn validate(&self) -> Result<(), SimError> {
+        if self.is_valid() {
+            Ok(())
+        } else {
+            Err(SimError::InvalidConfig {
+                name: self.name.clone(),
+            })
+        }
     }
 }
 

@@ -1,24 +1,22 @@
-//! Batch-grain memoization of draw costs.
+//! Batch-grain memoization of draw times: a sweep session's rows.
 //!
 //! The analytical cost of a draw depends only on the features
 //! `analyze_draw` consumes — never on labels like the draw id, interned
-//! state id, or the generator's material tag. Costs are therefore cached
-//! by *content*: two batches share an entry exactly when `analyze_draw`
-//! would receive bit-identical arguments for every member, in order, so a
-//! memoized result is bit-identical to an uncached one by construction.
+//! state id, or the generator's material tag. Draw times are therefore
+//! cached by *content*: two batches share an entry exactly when
+//! `analyze_draw` would receive bit-identical arguments for every member,
+//! in order, so a memoized result is bit-identical to an uncached one by
+//! construction.
 //!
 //! Re-simulation — the pathfinding loop, which re-simulates the same
 //! subset on every candidate design — is served at **batch** grain: the
-//! simulator evaluates draws in fixed-width batches, and one
-//! [`BatchCostCache`] retains each batch's per-draw values under a
-//! [`BatchKey`]. A warm pass probes once per batch (not once per draw),
-//! skipping the per-draw model entirely. The cache is generic over what
-//! it keeps per draw: a memoizing `Simulator` ([`CacheMode::On`]) keeps
-//! full [`DrawCost`]s and copies a hit's slice out, while a
-//! `SweepSession` keeps one row per batch holding only the draw times of
-//! every candidate, candidate-major — 8 bytes per draw and candidate —
-//! and a warm sweep probes once per batch for all candidates and shares
-//! the row itself, with no copy.
+//! simulator evaluates draws in fixed-width batches, and a
+//! `SweepSession`'s one [`BatchCostCache`] retains, under each batch's
+//! [`BatchKey`], one row holding the draw times of every candidate,
+//! candidate-major — 8 bytes per draw and candidate. A warm sweep probes
+//! once per batch for all candidates and shares the row itself, with no
+//! copy, skipping the per-draw model entirely. This is the crate's only
+//! memo: a `Simulator` keeps nothing between calls.
 //!
 //! Each draw contributes a 128-bit **shape digest** to its batch's key —
 //! two independent 64-bit FNV-1a streams folded over the exact bit
@@ -32,10 +30,10 @@
 //! collision is a 2⁻¹²⁸ event — the same contract the registry
 //! fingerprint relies on.
 //!
-//! [`CacheMode::Off`], the default, computes no digest at all: single-pass
-//! paths never revisit a batch, so retaining one would be pure cost.
+//! Walks without a session (`Simulator` passes, the one-shot sweeps)
+//! compute no digest at all: a single pass never revisits a batch, so
+//! retaining one would be pure cost.
 
-use crate::cost::DrawCost;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -47,8 +45,8 @@ use subset3d_trace::TextureRegistry;
 // Process-global mirrors of the per-cache counters (see `subset3d_obs`):
 // each cache keeps exact per-instance stats in `CacheStats`; these
 // aggregate the same events across every cache in the process so a
-// `MetricsSnapshot` shows cache behaviour without holding a `Simulator`
-// or `SweepSession`.
+// `MetricsSnapshot` shows cache behaviour without holding a
+// `SweepSession`.
 static OBS_BATCH_HITS: LazyCounter = LazyCounter::new("gpusim.batch_cache.hits");
 static OBS_BATCH_MISSES: LazyCounter = LazyCounter::new("gpusim.batch_cache.misses");
 
@@ -58,19 +56,6 @@ static OBS_BATCH_MISSES: LazyCounter = LazyCounter::new("gpusim.batch_cache.miss
 pub(crate) const FNV_BASIS_A: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_BASIS_B: u64 = 0x6c62_272e_07bb_0142;
 pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Memoization policy of a simulator or sweep session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheMode {
-    /// Re-simulation mode: retain every evaluated batch's costs, so
-    /// repeating a pass over the same workload (sweep sessions,
-    /// validation flows) is served batch-wholesale.
-    On,
-    /// Never memoize: every draw runs the analytical model, with no
-    /// digest, probe or retained costs. The default, and the uncached
-    /// baseline.
-    Off,
-}
 
 /// A 128-bit FNV-1a digest of a [`TextureRegistry`]'s full contents.
 ///
@@ -180,10 +165,10 @@ impl Hasher for PassThroughHasher {
     }
 }
 
-/// Batch-cache counters of a simulator or sweep session, taken at one
-/// instant. Lookups are made only in [`CacheMode::On`]. A session's
-/// probe serves every candidate at once and counts as one lookup per
-/// candidate, as if each candidate had probed a cache of its own.
+/// Batch-cache counters of a sweep session, taken at one instant. A
+/// session's probe serves every candidate at once and counts as one
+/// lookup per candidate, as if each candidate had probed a cache of its
+/// own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Whole batches served from the batch cache.
@@ -207,47 +192,23 @@ impl CacheStats {
     }
 }
 
-/// What a [`BatchCostCache`] retains per draw: the full [`DrawCost`] for
-/// a memoizing `Simulator`, the draw time alone for a `SweepSession` row.
-pub(crate) trait DrawValue: Copy {
-    /// The value with its draw time passed through `f` (the fault hook's
-    /// one-ulp flip).
-    #[cfg(feature = "fault-injection")]
-    fn map_time(self, f: impl FnOnce(f64) -> f64) -> Self;
-}
-
-impl DrawValue for DrawCost {
-    #[cfg(feature = "fault-injection")]
-    fn map_time(mut self, f: impl FnOnce(f64) -> f64) -> Self {
-        self.time_ns = f(self.time_ns);
-        self
-    }
-}
-
-impl DrawValue for f64 {
-    #[cfg(feature = "fault-injection")]
-    fn map_time(self, f: impl FnOnce(f64) -> f64) -> Self {
-        f(self)
-    }
-}
-
-/// Thread-safe memo table from [`BatchKey`] to a batch's per-draw values.
+/// Thread-safe memo table from [`BatchKey`] to a batch's row of draw
+/// times on every candidate of one `SweepSession`, candidate-major.
 ///
-/// One entry per distinct batch; a warm re-simulation pass probes once
-/// per batch and shares the retained slice, skipping the per-draw model
-/// entirely. Shared by every worker simulating on one `Simulator` or one
-/// `SweepSession`, whose configs never change; consulted only in
-/// [`CacheMode::On`].
-pub(crate) struct BatchCostCache<T> {
-    map: RwLock<HashMap<BatchKey, Arc<[T]>, BuildHasherDefault<PassThroughHasher>>>,
-    /// Lookups one probe stands for: 1 for a `Simulator`, the candidate
-    /// count for a session, whose one probe serves every candidate.
+/// One row per distinct batch; a warm sweep probes once per batch and
+/// shares the retained row, skipping the per-draw model entirely. Shared
+/// by every worker sweeping on one session, whose candidates never
+/// change.
+pub(crate) struct BatchCostCache {
+    map: RwLock<HashMap<BatchKey, Arc<[f64]>, BuildHasherDefault<PassThroughHasher>>>,
+    /// Lookups one probe stands for: the session's candidate count, since
+    /// its one probe serves every candidate.
     lookups_per_probe: u64,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl<T: DrawValue> BatchCostCache<T> {
+impl BatchCostCache {
     /// An empty cache whose every probe counts as `lookups_per_probe`
     /// hits or misses.
     pub(crate) fn new(lookups_per_probe: u64) -> Self {
@@ -260,16 +221,11 @@ impl<T: DrawValue> BatchCostCache<T> {
     }
 
     /// Probes for the batch `key` describes and, on a hit, shares its
-    /// retained values; the read lock is held only for the lookup.
-    pub(crate) fn get(&self, key: &BatchKey) -> Option<Arc<[T]>> {
+    /// retained row; the read lock is held only for the lookup.
+    pub(crate) fn get(&self, key: &BatchKey) -> Option<Arc<[f64]>> {
         let served = self.map.read().get(key).cloned();
         #[cfg(feature = "fault-injection")]
-        let served = served.map(|values| {
-            values
-                .iter()
-                .map(|&v| crate::fault::corrupt_hit(v))
-                .collect()
-        });
+        let served = served.map(|row| row.iter().map(|&t| crate::fault::corrupt_hit(t)).collect());
         let n = self.lookups_per_probe;
         if served.is_some() {
             self.hits.fetch_add(n, Ordering::Relaxed);
@@ -283,10 +239,10 @@ impl<T: DrawValue> BatchCostCache<T> {
         served
     }
 
-    /// Retains a freshly evaluated batch's values. Racing inserts of the
+    /// Retains a freshly evaluated batch's row. Racing inserts of the
     /// same key computed identical bits, so either winning is fine.
-    pub(crate) fn insert(&self, key: BatchKey, values: Arc<[T]>) {
-        self.map.write().insert(key, values);
+    pub(crate) fn insert(&self, key: BatchKey, row: Arc<[f64]>) {
+        self.map.write().insert(key, row);
     }
 
     /// Hits and misses observed so far.
@@ -297,12 +253,13 @@ impl<T: DrawValue> BatchCostCache<T> {
         }
     }
 
-    /// Number of retained batches.
+    /// Number of retained rows.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.map.read().len()
     }
 
-    /// Every retained slice's length, in no particular order.
+    /// Every retained row's length, in no particular order.
     #[cfg(test)]
     pub(crate) fn lengths(&self) -> Vec<usize> {
         self.map.read().values().map(|v| v.len()).collect()
@@ -332,7 +289,7 @@ mod tests {
         key_of(test_draw(), fp(), warmth)
     }
 
-    fn compute() -> DrawCost {
+    fn compute() -> f64 {
         crate::analytic::analyze_draw(
             &test_draw(),
             &test_vs(),
@@ -341,6 +298,7 @@ mod tests {
             &crate::config::ArchConfig::baseline(),
             0.0,
         )
+        .time_ns
     }
 
     #[test]
@@ -418,12 +376,12 @@ mod tests {
         let (vs, ps) = (shader_pack(&test_vs()), shader_pack(&test_ps()));
         let a = shape_at(&cols, 0, &vs, &ps, fp(), 0.0);
         let b = shape_at(&cols, 0, &vs, &ps, fp(), 0.5);
-        let costs = vec![compute(), compute()];
+        let row = vec![compute(), compute()];
         let cache = BatchCostCache::new(1);
         let key = BatchKey::of([a, b]);
         assert!(cache.get(&key).is_none());
-        cache.insert(key, costs.as_slice().into());
-        assert_eq!(*cache.get(&key).unwrap(), *costs);
+        cache.insert(key, row.as_slice().into());
+        assert_eq!(*cache.get(&key).unwrap(), *row);
         assert_eq!(
             cache.stats(),
             CacheStats {

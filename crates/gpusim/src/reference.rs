@@ -7,9 +7,10 @@
 //! the optimized path: no memo cache, no frame digests, no thread pool, no
 //! warmth ring buffer — just plain loops over plain slices. The
 //! `subset3d-testkit` crate compares its output field-by-field (bitwise on
-//! every `f64`) against [`crate::Simulator`], so any divergence — a stale
-//! cache entry, a key collision, a non-deterministic parallel reduction, an
-//! accidental formula edit — is caught at the first differing bit.
+//! every `f64`) against [`crate::Simulator`] and the sweep entry points,
+//! so any divergence — a stale memo row, a key collision, a
+//! non-deterministic parallel reduction, an accidental formula edit — is
+//! caught at the first differing bit.
 //!
 //! Because the comparison is bitwise, the arithmetic here mirrors the
 //! production expressions operation for operation (IEEE 754 makes equal

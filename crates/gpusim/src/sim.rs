@@ -5,11 +5,11 @@
 //! the simulator walks each frame in fixed-width batches of
 //! [`DEFAULT_BATCH_WIDTH`] draws. Per batch it streams the columns
 //! directly — shader resolution through a dense per-pass table, warmth
-//! from the texture pool, and (in [`CacheMode::On`]) shape digests
+//! from the texture pool, and (for a sweep session's rows) shape digests
 //! straight off the column words — and materialises an AoS [`DrawCall`]
 //! only for a batch the model actually runs on, to prepare its
 //! config-independent half once (`PreparedDraw`). Batches are also the
-//! unit of parallel fan-out and of batch-grain memoization (see
+//! unit of parallel fan-out and of a session's memo rows (see
 //! [`crate::memo`]).
 //!
 //! One walk serves one config or many: [`Simulator::simulate_workload`]
@@ -23,10 +23,9 @@ use crate::config::ArchConfig;
 use crate::cost::{DrawCost, FrameCost, TimeDigest, WorkloadCost};
 use crate::error::SimError;
 use crate::memo::{
-    BatchCostCache, BatchKey, CacheMode, CacheStats, DrawShape, RegistryFingerprint, ShapeHasher,
+    BatchCostCache, BatchKey, CacheStats, DrawShape, RegistryFingerprint, ShapeHasher,
 };
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use subset3d_trace::{
     DrawCall, DrawColumns, DrawId, Frame, ShaderId, ShaderProgram, TextureRegistry, Workload,
@@ -36,25 +35,20 @@ use subset3d_trace::{
 const WARMTH_WINDOW: usize = 6;
 
 /// Draws per fixed-width simulation batch: the unit of parallel fan-out
-/// and of batch-grain memoization. Wide enough that one batch-cache
-/// probe amortises over many draws and the per-batch setup (shader
+/// and of a sweep session's memo rows. Wide enough that one row probe
+/// amortises over many draws and the per-batch setup (shader
 /// resolution, warmth) stays a small fraction of the model work; narrow
 /// enough that a frame splits into several tasks for the pool.
 pub const DEFAULT_BATCH_WIDTH: usize = 64;
 
-/// Analytical GPU performance simulator.
+/// Analytical GPU performance simulator: a plain value of its
+/// [`ArchConfig`].
 ///
 /// Simulation is deterministic and O(1) per draw; a full 828K-draw corpus
-/// simulates in well under a second in release builds.
-///
-/// In [`CacheMode::On`] whole batch costs are retained by content, so
-/// re-simulating a workload (validation flows) is served
-/// batch-wholesale; a [`crate::SweepSession`] keeps its own cache of
-/// draw times instead. The batch cache is keyed on exact bit patterns,
-/// making memoized results indistinguishable from uncached ones; it is
-/// shared across simulation worker threads. A simulator's configuration
-/// is fixed at construction, so its cached costs never go stale. The
-/// default, [`CacheMode::Off`], simply runs the model on every draw.
+/// simulates in well under a second in release builds. A simulator runs
+/// the model on every draw and keeps nothing between calls; re-sweeping
+/// the same workloads is a [`crate::SweepSession`]'s job, whose rows are
+/// the crate's one memo.
 ///
 /// # Examples
 ///
@@ -68,12 +62,9 @@ pub const DEFAULT_BATCH_WIDTH: usize = 64;
 /// assert_eq!(frame_cost.draws.len(), w.frames()[0].draw_count());
 /// # Ok::<(), subset3d_gpusim::SimError>(())
 /// ```
+#[derive(Debug, Clone)]
 pub struct Simulator {
     config: ArchConfig,
-    batches: BatchCostCache<DrawCost>,
-    /// Whether the batch cache is consulted ([`CacheMode::On`]).
-    memoize: AtomicBool,
-    batch_width: AtomicUsize,
 }
 
 impl Simulator {
@@ -89,12 +80,7 @@ impl Simulator {
             "invalid architecture configuration '{}'",
             config.name
         );
-        Simulator {
-            config,
-            batches: BatchCostCache::new(1),
-            memoize: AtomicBool::new(false),
-            batch_width: AtomicUsize::new(DEFAULT_BATCH_WIDTH),
-        }
+        Simulator { config }
     }
 
     /// The simulated architecture configuration.
@@ -102,49 +88,15 @@ impl Simulator {
         &self.config
     }
 
-    /// Sets the memoization policy (default: [`CacheMode::Off`]).
-    /// Switching to `Off` does not drop retained batches; lookups simply
-    /// stop, which is how benchmarks measure the uncached baseline.
-    /// Results are bit-identical under both modes.
-    pub fn set_cache_mode(&self, mode: CacheMode) {
-        self.memoize.store(mode == CacheMode::On, Ordering::Relaxed);
-    }
-
-    /// The current memoization policy.
-    pub fn cache_mode(&self) -> CacheMode {
-        if self.memoize.load(Ordering::Relaxed) {
-            CacheMode::On
-        } else {
-            CacheMode::Off
-        }
-    }
-
-    /// Sets the fixed batch width (clamped to at least 1). Purely an
-    /// execution parameter: results are bit-identical at every width.
-    /// Different widths produce different batch-cache keys, so changing
-    /// it mid-session forfeits batch reuse.
-    pub fn set_batch_width(&self, width: usize) {
-        self.batch_width.store(width.max(1), Ordering::Relaxed);
-    }
-
-    /// The current fixed batch width.
-    pub fn batch_width(&self) -> usize {
-        self.batch_width.load(Ordering::Relaxed)
-    }
-
-    /// Hit/miss counters of the batch-cost cache.
+    /// Always [`CacheStats::default`]: a simulator keeps no cache. The
+    /// method stays only because the benchmark package still reads it;
+    /// a [`crate::SweepSession`]'s `cache_stats` counts the crate's one
+    /// memo.
     pub fn cache_stats(&self) -> CacheStats {
-        self.batches.stats()
+        CacheStats::default()
     }
 
-    /// Number of batch costs currently retained (populated only in
-    /// [`CacheMode::On`]).
-    pub fn cached_batches(&self) -> usize {
-        self.batches.len()
-    }
-
-    /// Simulates a single draw in isolation (cold caches, no warmth),
-    /// never memoized.
+    /// Simulates a single draw in isolation (cold caches, no warmth).
     ///
     /// # Errors
     ///
@@ -192,42 +144,23 @@ impl Simulator {
         workload: &Workload,
     ) -> Result<FrameCost, SimError> {
         let ctx = ShaderCtx::build(workload);
-        let registry = self
-            .memoizing()
-            .then(|| RegistryFingerprint::of(workload.textures()));
         let cols = frame.columns();
         let mut draws = Vec::with_capacity(cols.len());
-        for (start, end) in batch_bounds(cols.len(), self.batch_width()) {
-            let batch = Batch::new(cols, workload, &ctx, registry, start, end)?;
+        for (start, end) in batch_bounds(cols.len()) {
+            let batch = Batch::new(cols, workload, &ctx, None, start, end)?;
             draws.extend(self.simulate_batch(&batch));
         }
         Ok(FrameCost::from_draws(draws))
     }
 
-    /// Whether this pass memoizes ([`CacheMode::On`]). Read once per
-    /// pass, so a mode switch takes effect at the next pass, never
-    /// halfway through one.
-    fn memoizing(&self) -> bool {
-        self.memoize.load(Ordering::Relaxed)
-    }
-
-    /// Costs one batch on this simulator's config — the one-config step
-    /// of the hot path. With a key ([`CacheMode::On`]) the batch cache is
-    /// probed once; a hit copies the whole cost slice out, a miss
-    /// prepares and evaluates every draw and retains the result. Without
-    /// one (`Off`) the batch computes directly, with no probe at all.
+    /// Prepares and evaluates every draw of one batch on this
+    /// simulator's config — the one-config step of the hot path.
     fn simulate_batch(&self, batch: &Batch<'_, '_>) -> Vec<DrawCost> {
-        if let Some(key) = &batch.key {
-            if let Some(costs) = self.batches.get(key) {
-                return costs.to_vec();
-            }
-        }
-        let config = self.config();
-        let costs: Vec<DrawCost> = batch.prepare().iter().map(|d| d.evaluate(config)).collect();
-        if let Some(key) = batch.key {
-            self.batches.insert(key, costs.as_slice().into());
-        }
-        costs
+        batch
+            .prepare()
+            .iter()
+            .map(|d| d.evaluate(&self.config))
+            .collect()
     }
 
     /// Simulates a whole workload batch by batch.
@@ -236,9 +169,8 @@ impl Simulator {
     /// and batches within a frame are independent too (warmth looks
     /// backwards into the columns, not at other batches' outputs), so
     /// large workloads flatten into one task list of fixed-width batches
-    /// and fan out over the shared [`subset3d_exec`] pool in chunks, all
-    /// workers sharing one batch cache; the result is bit-identical to a
-    /// sequential pass at any thread count.
+    /// and fan out over the shared [`subset3d_exec`] pool in chunks; the
+    /// result is bit-identical to a sequential pass at any thread count.
     ///
     /// # Errors
     ///
@@ -252,9 +184,7 @@ impl Simulator {
             "frames",
             frames.len() as u64,
         );
-        let (list, costs) = walk(workload, self.batch_width(), self.memoizing(), |batch| {
-            self.simulate_batch(batch)
-        })?;
+        let (list, costs) = walk(workload, false, |batch| self.simulate_batch(batch))?;
         Ok(WorkloadCost::from_frames(
             frames
                 .iter()
@@ -281,9 +211,8 @@ impl Simulator {
 /// key are computed once for every config. With `rows`, one probe serves
 /// every config: a hit shares the batch's retained row of draw times, a
 /// miss materialises and prepares the batch's draws once, evaluates them
-/// on each config and retains the row. Without (the one-shot sweeps, or
-/// a session in [`CacheMode::Off`]) there is no key, probe or insert.
-/// Batches use [`DEFAULT_BATCH_WIDTH`].
+/// on each config and retains the row. Without (the one-shot sweeps)
+/// there is no key, probe or insert.
 ///
 /// Only draw times leave a batch. Per config, frame totals are
 /// Kahan-summed in draw order across batches and the workload total over
@@ -298,13 +227,13 @@ impl Simulator {
 pub(crate) fn sweep_totals(
     configs: &[ArchConfig],
     workload: &Workload,
-    rows: Option<&BatchCostCache<f64>>,
+    rows: Option<&BatchCostCache>,
 ) -> Result<Vec<(f64, u64)>, SimError> {
     if configs.is_empty() {
         return Ok(Vec::new());
     }
     let _t = subset3d_obs::trace_span_arg("gpusim", "sweep", "candidates", configs.len() as u64);
-    let (list, times) = walk(workload, DEFAULT_BATCH_WIDTH, rows.is_some(), |batch| {
+    let (list, times) = walk(workload, rows.is_some(), |batch| {
         sweep_batch(batch, configs, rows)
     })?;
     let n = configs.len();
@@ -330,7 +259,7 @@ pub(crate) fn sweep_totals(
 fn sweep_batch(
     batch: &Batch<'_, '_>,
     configs: &[ArchConfig],
-    rows: Option<&BatchCostCache<f64>>,
+    rows: Option<&BatchCostCache>,
 ) -> Arc<[f64]> {
     let cached = rows.zip(batch.key.as_ref());
     if let Some((rows, key)) = cached {
@@ -358,14 +287,13 @@ struct BatchList {
 }
 
 impl BatchList {
-    fn new(frames: &[Frame], width: usize) -> Self {
+    fn new(frames: &[Frame]) -> Self {
         let mut batches = Vec::new();
         let mut ranges = Vec::with_capacity(frames.len());
         for (frame_index, frame) in frames.iter().enumerate() {
             let first = batches.len();
             batches.extend(
-                batch_bounds(frame.draw_count(), width)
-                    .map(|(start, end)| (frame_index, start, end)),
+                batch_bounds(frame.draw_count()).map(|(start, end)| (frame_index, start, end)),
             );
             ranges.push(first..batches.len());
         }
@@ -376,18 +304,19 @@ impl BatchList {
     }
 }
 
-/// The `start..end` bounds of `len` draws in batches of `width`.
-fn batch_bounds(len: usize, width: usize) -> impl Iterator<Item = (usize, usize)> {
+/// The `start..end` bounds of `len` draws in batches of
+/// [`DEFAULT_BATCH_WIDTH`].
+fn batch_bounds(len: usize) -> impl Iterator<Item = (usize, usize)> {
     (0..len)
-        .step_by(width)
-        .map(move |start| (start, (start + width).min(len)))
+        .step_by(DEFAULT_BATCH_WIDTH)
+        .map(move |start| (start, (start + DEFAULT_BATCH_WIDTH).min(len)))
 }
 
 /// Walks `workload` in fixed-width batches: builds the per-pass shader
-/// table, the batch list and — when memoizing — the registry
-/// fingerprint once, computes each batch's shared inputs (keyed when
-/// memoizing) and hands them to `visit`, returning the list and every
-/// batch's result in trace order.
+/// table, the batch list and — when `keyed`, for a session's rows — the
+/// registry fingerprint once, computes each batch's shared inputs (with
+/// its key when `keyed`) and hands them to `visit`, returning the list
+/// and every batch's result in trace order.
 ///
 /// Batches are independent, so a workload of 1000 draws or more fans out
 /// over the shared [`subset3d_exec`] pool in chunks whenever it has two
@@ -400,14 +329,13 @@ fn batch_bounds(len: usize, width: usize) -> impl Iterator<Item = (usize, usize)
 /// trace order.
 fn walk<R: Send>(
     workload: &Workload,
-    width: usize,
-    memoize: bool,
+    keyed: bool,
     visit: impl Fn(&Batch<'_, '_>) -> R + Sync,
 ) -> Result<(BatchList, Vec<R>), SimError> {
     let frames = workload.frames();
     let ctx = ShaderCtx::build(workload);
-    let registry = memoize.then(|| RegistryFingerprint::of(workload.textures()));
-    let list = BatchList::new(frames, width);
+    let registry = keyed.then(|| RegistryFingerprint::of(workload.textures()));
+    let list = BatchList::new(frames);
     let run = |&(frame_index, start, end): &(usize, usize, usize)| {
         let cols = frames[frame_index].columns();
         Batch::new(cols, workload, &ctx, registry, start, end).map(|batch| visit(&batch))
@@ -431,7 +359,7 @@ fn walk<R: Send>(
 }
 
 /// The config-independent inputs of the draws `start..end` of one frame:
-/// resolved shaders, warmths and — when memoizing — the batch key,
+/// resolved shaders, warmths and — for a session's rows — the batch key,
 /// computed once however many configs then cost the batch.
 struct Batch<'a, 'w> {
     cols: &'a DrawColumns,
@@ -445,8 +373,8 @@ struct Batch<'a, 'w> {
 impl<'a, 'w> Batch<'a, 'w> {
     /// Shader resolution for the whole range comes first, so dangling
     /// references are reported identically whether or not a cache would
-    /// have served the content. With a `registry` fingerprint
-    /// ([`CacheMode::On`]) the draws' shape digests fold into the key.
+    /// have served the content. With a `registry` fingerprint (a
+    /// session's keyed walk) the draws' shape digests fold into the key.
     fn new(
         cols: &'a DrawColumns,
         workload: &'w Workload,
@@ -492,29 +420,6 @@ impl<'a, 'w> Batch<'a, 'w> {
                 PreparedDraw::new(&draw, vs.program, ps.program, self.textures, warmth)
             })
             .collect()
-    }
-}
-
-impl Clone for Simulator {
-    /// Clones the configuration and batch width; the clone starts with
-    /// an empty batch cache in the default [`CacheMode::Off`].
-    fn clone(&self) -> Self {
-        Simulator {
-            config: self.config.clone(),
-            batches: BatchCostCache::new(1),
-            memoize: AtomicBool::new(false),
-            batch_width: AtomicUsize::new(self.batch_width()),
-        }
-    }
-}
-
-impl std::fmt::Debug for Simulator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulator")
-            .field("config", &self.config)
-            .field("batch_width", &self.batch_width())
-            .field("cache_stats", &self.cache_stats())
-            .finish()
     }
 }
 
@@ -653,14 +558,6 @@ mod tests {
             .generate()
     }
 
-    /// Total number of fixed-width batches a workload splits into.
-    fn batch_count(w: &Workload, width: usize) -> u64 {
-        w.frames()
-            .iter()
-            .map(|f| f.draw_count().div_ceil(width) as u64)
-            .sum()
-    }
-
     #[test]
     fn workload_total_is_sum_of_frames() {
         let w = workload();
@@ -701,124 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_width_does_not_change_results() {
-        let w = workload();
-        let baseline = Simulator::new(ArchConfig::baseline());
-        baseline.set_cache_mode(CacheMode::Off);
-        let expected = baseline.simulate_workload(&w).unwrap();
-        for width in [1, 3, 64, 128, 10_000] {
-            for mode in [CacheMode::On, CacheMode::Off] {
-                let sim = Simulator::new(ArchConfig::baseline());
-                sim.set_batch_width(width);
-                sim.set_cache_mode(mode);
-                let got = sim.simulate_workload(&w).unwrap();
-                assert_eq!(got, expected, "width {width}, mode {mode:?} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn memoized_results_are_bit_identical_to_uncached() {
-        let w = workload();
-        let cached = Simulator::new(ArchConfig::baseline());
-        cached.set_cache_mode(CacheMode::On);
-        let uncached = Simulator::new(ArchConfig::baseline());
-        assert_eq!(uncached.cache_mode(), CacheMode::Off, "Off is the default");
-        // The cold pass computes and retains; the warm pass is served
-        // from the batch cache. Neither may move a single bit.
-        for pass in 0..2 {
-            let a = cached.simulate_workload(&w).unwrap();
-            let b = uncached.simulate_workload(&w).unwrap();
-            assert_eq!(
-                a, b,
-                "memoization must not change a single bit (pass {pass})"
-            );
-            // Per-draw costs too, not just the aggregates.
-            for (fa, fb) in a.frames.iter().zip(b.frames.iter()) {
-                for (da, db) in fa.draws.iter().zip(fb.draws.iter()) {
-                    assert_eq!(da.time_ns.to_bits(), db.time_ns.to_bits());
-                    assert_eq!(da.mem_bytes.to_bits(), db.mem_bytes.to_bits());
-                }
-            }
-        }
-        let stats = cached.cache_stats();
-        assert!(stats.batch_hits > 0, "the warm pass must hit the cache");
-        assert_eq!(stats.batch_hits, stats.batch_misses);
-        assert_eq!(
-            uncached.cache_stats(),
-            CacheStats::default(),
-            "Off mode must make no lookups"
-        );
-        assert_eq!(uncached.cached_batches(), 0);
-    }
-
-    #[test]
-    fn cache_hits_accumulate_across_repeated_simulation() {
-        let w = workload();
-        let sim = Simulator::new(ArchConfig::baseline());
-        sim.set_cache_mode(CacheMode::On);
-        let batches = batch_count(&w, sim.batch_width());
-        for pass in 1..=3 {
-            sim.simulate_workload(&w).unwrap();
-            // Every pass after the first re-sees every batch: all hits,
-            // no new misses.
-            let stats = sim.cache_stats();
-            assert_eq!(stats.batch_misses, batches);
-            assert_eq!(stats.batch_hits, batches * (pass - 1));
-        }
-        assert_eq!(sim.cached_batches(), batches as usize);
-    }
-
-    #[test]
-    fn on_mode_serves_repeated_batches_wholesale() {
-        let w = workload();
-        let sim = Simulator::new(ArchConfig::baseline());
-        sim.set_cache_mode(CacheMode::On);
-        let batches = batch_count(&w, sim.batch_width());
-        let a = sim.simulate_workload(&w).unwrap();
-        let cold = sim.cache_stats();
-        assert_eq!(cold.batch_misses, batches);
-        assert_eq!(sim.cached_batches(), batches as usize);
-
-        let b = sim.simulate_workload(&w).unwrap();
-        let warm = sim.cache_stats();
-        assert_eq!(a, b, "batch-served results must be bit-identical");
-        assert_eq!(warm.batch_hits, batches);
-        assert_eq!(warm.batch_misses, cold.batch_misses);
-
-        // And the whole thing matches an uncached simulator, bit for bit.
-        let uncached = Simulator::new(ArchConfig::baseline());
-        uncached.set_cache_mode(CacheMode::Off);
-        assert_eq!(a, uncached.simulate_workload(&w).unwrap());
-    }
-
-    #[test]
-    fn ragged_tail_batches_are_distinct_cache_entries() {
-        // 50 draws per frame at width 64 → every frame is one ragged
-        // batch; at width 16 → three full + one ragged. Re-running at a
-        // different width must miss (the key folds the member count),
-        // then hit on repeat.
-        let w = workload();
-        let sim = Simulator::new(ArchConfig::baseline());
-        sim.set_cache_mode(CacheMode::On);
-        sim.set_batch_width(16);
-        let a = sim.simulate_workload(&w).unwrap();
-        let cold = sim.cache_stats();
-        assert_eq!(cold.batch_misses, batch_count(&w, 16));
-
-        sim.set_batch_width(64);
-        let b = sim.simulate_workload(&w).unwrap();
-        assert_eq!(a, b);
-        let refold = sim.cache_stats();
-        assert_eq!(refold.batch_hits, 0, "different widths must not alias");
-        assert_eq!(refold.batch_misses, cold.batch_misses + batch_count(&w, 64));
-
-        sim.set_batch_width(16);
-        sim.simulate_workload(&w).unwrap();
-        assert_eq!(sim.cache_stats().batch_hits, batch_count(&w, 16));
-    }
-
-    #[test]
     fn unknown_shader_is_reported() {
         let mut w = workload();
         // Corrupt one draw to reference a dangling shader.
@@ -833,17 +612,11 @@ mod tests {
             w.textures().clone(),
             w.states().clone(),
         );
-        for mode in [CacheMode::On, CacheMode::Off] {
-            let sim = Simulator::new(ArchConfig::baseline());
-            sim.set_cache_mode(mode);
-            assert!(
-                matches!(
-                    sim.simulate_workload(&w),
-                    Err(SimError::UnknownShader { .. })
-                ),
-                "mode {mode:?} swallowed the dangling reference"
-            );
-        }
+        let sim = Simulator::new(ArchConfig::baseline());
+        assert!(matches!(
+            sim.simulate_workload(&w),
+            Err(SimError::UnknownShader { .. })
+        ));
     }
 
     #[test]

@@ -3,10 +3,9 @@
 use crate::config::ArchConfig;
 use crate::error::SimError;
 use crate::freq::FrequencySweep;
-use crate::memo::{BatchCostCache, CacheMode, CacheStats};
+use crate::memo::{BatchCostCache, CacheStats};
 use crate::sim::sweep_totals;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
 use subset3d_trace::Workload;
 
 /// One point of a frequency sweep result.
@@ -30,17 +29,6 @@ pub struct ConfigPoint {
     /// cost. It pins each draw time where `total_ns` lets opposite
     /// one-ulp errors cancel, so comparing points compares every draw.
     pub digest: u64,
-}
-
-/// [`SimError::InvalidConfig`] for the first invalid config, reported
-/// before any simulation work is spent.
-fn validate(configs: &[ArchConfig]) -> Result<(), SimError> {
-    match configs.iter().find(|c| !c.is_valid()) {
-        Some(config) => Err(SimError::InvalidConfig {
-            name: config.name.clone(),
-        }),
-        None => Ok(()),
-    }
 }
 
 /// Names each config's `(total_ns, digest)`.
@@ -88,7 +76,7 @@ pub fn sweep_frequencies(
     sweep: &FrequencySweep,
 ) -> Result<Vec<SweepPoint>, SimError> {
     let configs = sweep.configs(base);
-    validate(&configs)?;
+    configs.iter().try_for_each(ArchConfig::validate)?;
     let totals = sweep_totals(&configs, workload, None)?;
     Ok(configs
         .iter()
@@ -114,7 +102,7 @@ pub fn sweep_configs(
     workload: &Workload,
     candidates: &[ArchConfig],
 ) -> Result<Vec<ConfigPoint>, SimError> {
-    validate(candidates)?;
+    candidates.iter().try_for_each(ArchConfig::validate)?;
     let totals = sweep_totals(candidates, workload, None)?;
     Ok(config_points(candidates, totals))
 }
@@ -137,10 +125,9 @@ pub fn sweep_configs(
 /// candidate-major — 8 bytes per draw and candidate, only what a sweep
 /// reads. A missed batch's draws are prepared once (`PreparedDraw`),
 /// evaluated on every candidate and retained as a row; a warm sweep
-/// shares the rows and never materialises a draw.
-///
-/// Sessions start in [`CacheMode::On`]: re-simulation is the point of
-/// keeping one, so rows are retained from the cold first pass onwards.
+/// shares the rows and never materialises a draw. Rows are retained from
+/// the cold first pass onwards: re-simulation is the point of keeping a
+/// session, and [`sweep_configs`] is the same walk with no rows.
 ///
 /// # Examples
 ///
@@ -158,9 +145,7 @@ pub fn sweep_configs(
 pub struct SweepSession {
     candidates: Vec<ArchConfig>,
     /// Batch key → the batch's draw times on every candidate.
-    rows: BatchCostCache<f64>,
-    /// Whether sweeps consult `rows` ([`CacheMode::On`]).
-    memoize: AtomicBool,
+    rows: BatchCostCache,
 }
 
 impl SweepSession {
@@ -171,20 +156,11 @@ impl SweepSession {
     ///
     /// Returns [`SimError::InvalidConfig`] for an invalid candidate.
     pub fn new(candidates: &[ArchConfig]) -> Result<Self, SimError> {
-        validate(candidates)?;
+        candidates.iter().try_for_each(ArchConfig::validate)?;
         Ok(SweepSession {
             candidates: candidates.to_vec(),
             rows: BatchCostCache::new(candidates.len() as u64),
-            memoize: AtomicBool::new(true),
         })
-    }
-
-    /// Sets the memoization policy of the session (benchmarks use
-    /// [`CacheMode::Off`] for an uncached baseline). Switching to `Off`
-    /// does not drop retained rows; lookups simply stop, and a sweep
-    /// computes no key, makes no probe and inserts nothing.
-    pub fn set_cache_mode(&self, mode: CacheMode) {
-        self.memoize.store(mode == CacheMode::On, Ordering::Relaxed);
     }
 
     /// Simulates `workload` on every candidate in one walk over its
@@ -196,8 +172,7 @@ impl SweepSession {
     /// Returns [`SimError::UnknownShader`] when the workload references
     /// shaders missing from its own library.
     pub fn sweep(&self, workload: &Workload) -> Result<Vec<ConfigPoint>, SimError> {
-        let rows = self.memoize.load(Ordering::Relaxed).then_some(&self.rows);
-        let totals = sweep_totals(&self.candidates, workload, rows)?;
+        let totals = sweep_totals(&self.candidates, workload, Some(&self.rows))?;
         Ok(config_points(&self.candidates, totals))
     }
 
@@ -354,13 +329,6 @@ mod tests {
                 batch_misses: (n * batches) as u64,
             }
         );
-
-        // Off keeps nothing and counts nothing.
-        let off = SweepSession::new(&candidates).unwrap();
-        off.set_cache_mode(CacheMode::Off);
-        assert_eq!(off.sweep(&w).unwrap(), cold);
-        assert_eq!(off.rows.len(), 0);
-        assert_eq!(off.cache_stats(), CacheStats::default());
     }
 
     #[test]

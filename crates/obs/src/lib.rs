@@ -1,7 +1,7 @@
 //! Process-global observability for the subset3d pipeline: aggregate
 //! metrics and structured event tracing.
 //!
-//! Every stage of the stack — the executor, the simulator's memo caches,
+//! Every stage of the stack — the executor, the sweep session's memo rows,
 //! the subsetting pipeline, the CLI — reports into one registry of named
 //! [`Counter`]s, [`Gauge`]s and fixed-bucket latency [`Histogram`]s, so
 //! a single [`snapshot`] shows where time and cache capacity go across a

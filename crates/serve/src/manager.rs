@@ -316,6 +316,18 @@ mod tests {
     }
 
     #[test]
+    fn open_rejects_an_invalid_arch_with_a_typed_error() {
+        let mut config = ServeConfig::default();
+        config.arch.eu_count = 0;
+        let mgr = SessionManager::new();
+        assert!(matches!(
+            mgr.open(config, &workload(1)),
+            Err(ServeError::InvalidConfig { .. })
+        ));
+        assert_eq!(mgr.session_count(), 0);
+    }
+
+    #[test]
     fn batched_ingest_matches_sequential() {
         let w = workload(6);
         let mgr = SessionManager::new();

@@ -1114,6 +1114,16 @@ mod tests {
     }
 
     #[test]
+    fn bind_rejects_an_invalid_arch_with_a_typed_error() {
+        let mut config = NetServerConfig::default();
+        config.serve.arch.eu_count = 0;
+        assert!(matches!(
+            NetServer::bind("127.0.0.1:0", config),
+            Err(ServeError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
     fn a_listener_that_never_replies_fails_open_at_the_client_deadline() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();

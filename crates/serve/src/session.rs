@@ -90,11 +90,16 @@ impl ServeConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] for an invalid subset
-    /// configuration, a zero reservoir, or a forgetting factor outside
-    /// `(0, 1]`.
+    /// Returns [`ServeError::InvalidConfig`] for an invalid subset or
+    /// architecture configuration, a zero reservoir, or a forgetting
+    /// factor outside `(0, 1]`.
     pub fn validate(&self) -> Result<(), ServeError> {
         self.subset.validate()?;
+        self.arch
+            .validate()
+            .map_err(|e| ServeError::InvalidConfig {
+                reason: e.to_string(),
+            })?;
         if self.reservoir_capacity == 0 {
             return Err(ServeError::InvalidConfig {
                 reason: "reservoir capacity must be at least one frame".into(),
@@ -556,6 +561,16 @@ mod tests {
             ..ServeConfig::default()
         };
         assert!(Session::new(bad, &w).is_err());
+    }
+
+    #[test]
+    fn invalid_arch_is_a_typed_error() {
+        let mut config = ServeConfig::default();
+        config.arch.eu_count = 0;
+        assert!(matches!(
+            Session::new(config, &workload(1)),
+            Err(ServeError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

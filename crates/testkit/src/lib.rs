@@ -5,14 +5,14 @@
 //!
 //! 1. **Differential oracle** ([`oracle`]) — runs the deliberately naive
 //!    reference model in [`subset3d_gpusim::reference`] side by side with
-//!    the memoized, parallel [`subset3d_gpusim::Simulator`] and compares
-//!    every `f64` **bitwise**. Catches stale cache entries, key
-//!    collisions, non-deterministic parallel reductions and accidental
-//!    formula edits at the first differing bit.
+//!    the columnar, parallel [`subset3d_gpusim::Simulator`] and compares
+//!    every `f64` **bitwise**. Catches batching and prepared-draw slips,
+//!    non-deterministic parallel reductions and accidental formula edits
+//!    at the first differing bit.
 //! 2. **Metamorphic invariants** ([`metamorphic`]) — reusable checkers for
 //!    properties the model must satisfy for *any* workload (frequency
-//!    monotonicity, cache-mode transparency, permutation and relabeling
-//!    invariance). Returning `Result<(), String>`, they slot into both
+//!    monotonicity, sweep-session memo transparency, permutation and
+//!    relabeling invariance). Returning `Result<(), String>`, they slot into both
 //!    plain `#[test]`s and `proptest!` properties.
 //! 3. **Golden snapshots** ([`golden`]) — end-to-end pipeline runs
 //!    serialised to committed JSON under `tests/golden/`; any byte of

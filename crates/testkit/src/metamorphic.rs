@@ -19,7 +19,7 @@
 
 use subset3d_cluster::{Points, Subsetter as SubsetterBackend};
 use subset3d_core::{predict_frame, FrameClustering};
-use subset3d_gpusim::{ArchConfig, CacheMode, FrameCost, Simulator};
+use subset3d_gpusim::{sweep_configs, ArchConfig, FrameCost, Simulator, SweepSession};
 use subset3d_trace::{Frame, Workload};
 
 /// Relative tolerance for comparisons whose float-summation *order*
@@ -72,45 +72,46 @@ pub fn check_frequency_monotone(
     Ok(())
 }
 
-/// **Cache transparency**: the memo cache is an optimisation, not a model
-/// input — `On` and `Off` must produce bit-identical workload
-/// costs, including on a second pass served from warm caches.
+/// **Memo transparency**: a sweep session's rows are an optimisation, not
+/// a model input — its cold sweep and its warm sweep, served from the
+/// rows, must equal the uncached [`sweep_configs`] on every candidate in
+/// both `total_ns` bits and per-draw `digest`.
 ///
 /// # Errors
 ///
-/// Returns the first cache mode and pass whose total differs from the
-/// `Off` baseline, or a simulator failure message.
-pub fn check_cache_modes_identical(workload: &Workload, config: &ArchConfig) -> Result<(), String> {
-    let baseline = {
-        let sim = Simulator::new(config.clone());
-        sim.set_cache_mode(CacheMode::Off);
-        sim.simulate_workload(workload)
-            .map_err(|e| format!("baseline simulation failed: {e}"))?
-    };
-    for mode in [CacheMode::On, CacheMode::Off] {
-        let sim = Simulator::new(config.clone());
-        sim.set_cache_mode(mode);
-        for pass in 0..2 {
-            let cost = sim
-                .simulate_workload(workload)
-                .map_err(|e| format!("{mode:?} pass {pass} failed: {e}"))?;
-            if cost.total_ns.to_bits() != baseline.total_ns.to_bits() {
+/// Returns the first pass and candidate whose point differs from the
+/// uncached sweep's, a warm pass the rows did not serve, or a simulator
+/// failure message.
+pub fn check_session_cache_transparent(
+    workload: &Workload,
+    candidates: &[ArchConfig],
+) -> Result<(), String> {
+    let uncached =
+        sweep_configs(workload, candidates).map_err(|e| format!("uncached sweep failed: {e}"))?;
+    let session = SweepSession::new(candidates).map_err(|e| format!("session failed: {e}"))?;
+    for pass in ["cold", "warm"] {
+        let points = session
+            .sweep(workload)
+            .map_err(|e| format!("{pass} sweep failed: {e}"))?;
+        if points.len() != uncached.len() {
+            return Err(format!(
+                "{pass} sweep returned {} points, uncached {}",
+                points.len(),
+                uncached.len()
+            ));
+        }
+        for (p, u) in points.iter().zip(&uncached) {
+            if p.total_ns.to_bits() != u.total_ns.to_bits() || p.digest != u.digest {
                 return Err(format!(
-                    "cache mode {mode:?} pass {pass} changed the result: \
-                     {} vs baseline {}",
-                    cost.total_ns, baseline.total_ns
+                    "{pass} sweep changed candidate {}: {} ns, digest {:#018x} \
+                     vs uncached {} ns, digest {:#018x}",
+                    p.name, p.total_ns, p.digest, u.total_ns, u.digest
                 ));
             }
-            for (fi, (f, bf)) in cost.frames.iter().zip(&baseline.frames).enumerate() {
-                if f.total_ns.to_bits() != bf.total_ns.to_bits() {
-                    return Err(format!(
-                        "cache mode {mode:?} pass {pass} changed frame {fi}: \
-                         {} vs baseline {}",
-                        f.total_ns, bf.total_ns
-                    ));
-                }
-            }
         }
+    }
+    if workload.total_draws() > 0 && session.cache_stats().batch_hits == 0 {
+        return Err("the warm sweep was not served from the session's rows".into());
     }
     Ok(())
 }
@@ -322,7 +323,7 @@ mod tests {
         let w = workload();
         let config = ArchConfig::baseline();
         check_frequency_monotone(&w, &config, &[500.0, 800.0, 1100.0]).unwrap();
-        check_cache_modes_identical(&w, &config).unwrap();
+        check_session_cache_transparent(&w, &ArchConfig::pathfinding_candidates()).unwrap();
 
         let frame = &w.frames()[0];
         let n = frame.draw_count();

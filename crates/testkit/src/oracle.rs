@@ -1,8 +1,8 @@
 //! The differential oracle: naive reference vs optimized path, bitwise.
 //!
 //! [`run_oracle`] simulates a workload through the production
-//! [`Simulator`] — memo cache, frame digests, thread pool and all — and
-//! through the orchestration-free reference model in
+//! [`Simulator`] — columnar batches, prepared draws, thread pool and all
+//! — and through the orchestration-free reference model in
 //! [`subset3d_gpusim::reference`], then compares every field. Floats are
 //! compared **by bit pattern** ([`f64::to_bits`]): the reference mirrors
 //! the production arithmetic expression for expression, so IEEE 754
@@ -14,7 +14,7 @@
 
 use subset3d_core::{cluster_frame, predict_frame, FramePrediction, SubsetConfig};
 use subset3d_gpusim::reference;
-use subset3d_gpusim::{ArchConfig, CacheMode, PowerModel, SimError, Simulator, WorkloadCost};
+use subset3d_gpusim::{PowerModel, SimError, Simulator, WorkloadCost};
 use subset3d_trace::Workload;
 
 /// Core clocks (MHz) swept by the oracle's improvement-series check.
@@ -23,7 +23,7 @@ pub const ORACLE_SWEEP_MHZ: [f64; 3] = [600.0, 900.0, 1200.0];
 /// One field-level disagreement between the reference and optimized paths.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Divergence {
-    /// Which run the disagreement came from, e.g. `"shooter/On/8t"`.
+    /// Which run the disagreement came from, e.g. `"shooter/8t"`.
     pub context: String,
     /// Where in the output it sits, e.g. `"frame 3, draw 17"`.
     pub location: String,
@@ -212,9 +212,8 @@ pub fn reference_predict_frame(
 /// configuration: costs, energy, improvement series and per-frame
 /// prediction errors.
 ///
-/// The simulator's cache mode and the ambient thread count are whatever
-/// the caller set — the whole point is comparing those configurations
-/// against the cache-free single-threaded reference.
+/// The ambient thread count is whatever the caller set — the whole point
+/// is comparing every pool size against the single-threaded reference.
 ///
 /// # Errors
 ///
@@ -280,8 +279,6 @@ pub fn run_oracle_with_config(
     let mut optimized_times = Vec::with_capacity(ORACLE_SWEEP_MHZ.len());
     for &mhz in &ORACLE_SWEEP_MHZ {
         let swept = Simulator::new(config.with_core_clock(mhz));
-        swept.set_cache_mode(sim.cache_mode());
-        swept.set_batch_width(sim.batch_width());
         optimized_times.push(swept.simulate_workload(workload)?.total_ns);
     }
     let optimized_series = subset3d_gpusim::FrequencySweep::improvement_series(&optimized_times);
@@ -338,91 +335,10 @@ pub fn run_oracle_with_config(
     })
 }
 
-/// Runs [`run_oracle`] twice for every cache mode — the second pass hits
-/// whatever the first pass cached — and returns all divergences found.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from any pass.
-pub fn run_oracle_all_modes(
-    label: &str,
-    workload: &Workload,
-    config: &ArchConfig,
-) -> Result<OracleReport, SimError> {
-    run_oracle_all_modes_with_config(label, workload, config, &SubsetConfig::default())
-}
-
-/// [`run_oracle_all_modes`] with an explicit pipeline configuration, so
-/// the cache-mode matrix can be swept once per clustering backend.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from any pass.
-pub fn run_oracle_all_modes_with_config(
-    label: &str,
-    workload: &Workload,
-    config: &ArchConfig,
-    subset_config: &SubsetConfig,
-) -> Result<OracleReport, SimError> {
-    let threads = subset3d_exec::thread_count();
-    let mut divergences = Vec::new();
-    let mut draws_compared = 0;
-    for mode in [CacheMode::On, CacheMode::Off] {
-        let sim = Simulator::new(config.clone());
-        sim.set_cache_mode(mode);
-        for pass in 0..2 {
-            let context = format!("{label}/{mode:?}/{threads}t/pass{pass}");
-            let report = run_oracle_with_config(&context, workload, &sim, subset_config)?;
-            divergences.extend(report.divergences);
-            draws_compared += report.draws_compared;
-        }
-    }
-    Ok(OracleReport {
-        divergences,
-        draws_compared,
-    })
-}
-
-/// Runs [`run_oracle`] at every combination of cache mode and batch
-/// width, twice each. Batching must be invisible: whether a frame is
-/// executed draw by draw (`width 1`), in the default 64-draw batches, or
-/// in 128-draw batches (each leaving a different ragged tail), every
-/// cost bit must match the struct-at-a-time reference.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from any pass.
-pub fn run_oracle_batch_widths(
-    label: &str,
-    workload: &Workload,
-    config: &ArchConfig,
-    widths: &[usize],
-) -> Result<OracleReport, SimError> {
-    let threads = subset3d_exec::thread_count();
-    let mut divergences = Vec::new();
-    let mut draws_compared = 0;
-    for &width in widths {
-        for mode in [CacheMode::On, CacheMode::Off] {
-            let sim = Simulator::new(config.clone());
-            sim.set_cache_mode(mode);
-            sim.set_batch_width(width);
-            for pass in 0..2 {
-                let context = format!("{label}/{mode:?}/w{width}/{threads}t/pass{pass}");
-                let report = run_oracle(&context, workload, &sim)?;
-                divergences.extend(report.divergences);
-                draws_compared += report.draws_compared;
-            }
-        }
-    }
-    Ok(OracleReport {
-        divergences,
-        draws_compared,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use subset3d_gpusim::ArchConfig;
     use subset3d_trace::gen::GameProfile;
 
     #[test]
@@ -432,7 +348,8 @@ mod tests {
             .draws_per_frame(25)
             .build(3)
             .generate();
-        let report = run_oracle_all_modes("smoke", &w, &ArchConfig::baseline()).unwrap();
+        let sim = Simulator::new(ArchConfig::baseline());
+        let report = run_oracle("smoke", &w, &sim).unwrap();
         assert!(report.draws_compared > 0);
         report.assert_clean();
     }

@@ -1,6 +1,6 @@
-//! Backend oracle matrix: every clustering backend × 2 cache modes ×
-//! {1, 2, 8} threads × 2 passes on a small workload, every float compared
-//! bitwise against the naive reference.
+//! Backend oracle matrix: every clustering backend × {1, 2, 8} threads
+//! on a small workload, every float compared bitwise against the naive
+//! reference.
 //!
 //! One `#[test]` on purpose: the thread count is process-global, so the
 //! sweep must own it for its whole duration (`with_thread_count` restores
@@ -8,8 +8,8 @@
 //! the PCA + agglomerative backend is O(n³) in draws per frame.
 
 use subset3d_core::{ClusterMethod, SubsetConfig};
-use subset3d_gpusim::ArchConfig;
-use subset3d_testkit::oracle::run_oracle_all_modes_with_config;
+use subset3d_gpusim::{ArchConfig, Simulator};
+use subset3d_testkit::oracle::run_oracle_with_config;
 use subset3d_trace::gen::GameProfile;
 use subset3d_trace::Workload;
 
@@ -43,19 +43,19 @@ fn small_workload() -> Workload {
 }
 
 #[test]
-fn every_backend_is_deterministic_across_threads_and_cache_modes() {
+fn every_backend_is_deterministic_across_threads() {
     let workload = small_workload();
-    let config = ArchConfig::baseline();
-    // 2 cache modes × 2 passes × 3 thread counts per backend.
-    let expected = workload.total_draws() * 2 * 2 * 3 * methods().len();
+    let sim = Simulator::new(ArchConfig::baseline());
+    // One pass per backend and thread count.
+    let expected = workload.total_draws() * 3 * methods().len();
     let mut draws_compared = 0;
     for threads in [1, 2, 8] {
         subset3d_exec::with_thread_count(threads, || {
             for (name, method) in methods() {
                 let subset_config = SubsetConfig::default().with_cluster_method(method);
-                let report =
-                    run_oracle_all_modes_with_config(name, &workload, &config, &subset_config)
-                        .unwrap_or_else(|e| panic!("{name} at {threads} threads: {e}"));
+                let context = format!("{name}/{threads}t");
+                let report = run_oracle_with_config(&context, &workload, &sim, &subset_config)
+                    .unwrap_or_else(|e| panic!("{context}: {e}"));
                 report.assert_clean();
                 draws_compared += report.draws_compared;
             }

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use subset3d_core::{cluster_frame, SubsetConfig};
 use subset3d_gpusim::{ArchConfig, Simulator};
 use subset3d_testkit::metamorphic::{
-    check_cache_modes_identical, check_cluster_relabeling, check_draw_permutation,
-    check_frequency_monotone,
+    check_cluster_relabeling, check_draw_permutation, check_frequency_monotone,
+    check_session_cache_transparent,
 };
 use subset3d_trace::gen::GameProfile;
 use subset3d_trace::Workload;
@@ -53,11 +53,11 @@ proptest! {
         prop_assert!(r.is_ok(), "{r:?}");
     }
 
-    /// Memo caching never changes a result, in any mode, on any pass.
+    /// A sweep session's rows never change a point, cold or warm.
     #[test]
-    fn cache_modes_transparent(profile in 0usize..3, seed in 1u64..10_000) {
+    fn session_cache_transparent(profile in 0usize..3, seed in 1u64..10_000) {
         let w = workload(profile, seed);
-        let r = check_cache_modes_identical(&w, &ArchConfig::baseline());
+        let r = check_session_cache_transparent(&w, &ArchConfig::pathfinding_candidates());
         prop_assert!(r.is_ok(), "{r:?}");
     }
 

@@ -9,8 +9,8 @@
 //! non-empty ones, ragged frames of 1, 63, 64, 65 and 129 draws, and a
 //! workload under the simulator's 1000-draw serial threshold — at 1, 2
 //! and 8 threads, and requires every total of every entry point (cold
-//! and warm session passes, an uncached session, both one-shot sweeps)
-//! to equal the struct-at-a-time reference model's bit for bit. Every
+//! and warm session passes, both one-shot sweeps) to equal the
+//! struct-at-a-time reference model's bit for bit. Every
 //! entry point that returns `ConfigPoint`s must also carry the reference
 //! cost's per-draw digest, so a draw time that moves is caught even when
 //! the totals hide it.
@@ -20,8 +20,8 @@
 
 use subset3d_gpusim::reference::reference_workload_cost;
 use subset3d_gpusim::{
-    sweep_configs, sweep_frequencies, ArchConfig, CacheMode, CacheStats, ConfigPoint,
-    FrequencySweep, SimError, Simulator, SweepSession, DEFAULT_BATCH_WIDTH,
+    sweep_configs, sweep_frequencies, ArchConfig, CacheStats, ConfigPoint, FrequencySweep,
+    SimError, Simulator, SweepSession, DEFAULT_BATCH_WIDTH,
 };
 use subset3d_testkit::corpus::oracle_corpus;
 use subset3d_trace::gen::GameProfile;
@@ -202,18 +202,6 @@ fn every_sweep_entry_point_matches_the_reference_bit_for_bit() {
                 let expected_names: Vec<&str> =
                     candidates.iter().map(|c| c.name.as_str()).collect();
                 assert_eq!(names, expected_names, "{}: point order", ctx("warm"));
-
-                let uncached = SweepSession::new(&candidates).expect("session");
-                uncached.set_cache_mode(CacheMode::Off);
-                let off = uncached.sweep(w).expect("uncached sweep");
-                assert_bits(&ctx("off"), configs_ref, off.iter().map(|p| p.total_ns));
-                assert_digests(&ctx("off"), digests_ref, &off);
-                assert_eq!(
-                    uncached.cache_stats(),
-                    CacheStats::default(),
-                    "{}: Off makes no lookups",
-                    ctx("off")
-                );
 
                 let configs = sweep_configs(w, &candidates).expect("sweep_configs");
                 assert_bits(

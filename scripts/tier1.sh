@@ -30,10 +30,11 @@ sh scripts/check_results.sh
 # benchmark fails here rather than at benchmark time.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-# Correctness harness: the fault-injection feature compiles the batch-cache
-# mutation hook so mutation_caught can prove the oracle detects a seeded
-# one-ulp corruption; the oracle matrix and golden-snapshot gates run in
-# the same pass.
+# Correctness harness: the fault-injection feature compiles the sweep
+# session's batch-cache mutation hook so mutation_caught can prove that
+# one-draw sweep totals and every candidate's per-draw digest detect a
+# seeded one-ulp corruption; the oracle matrix and golden-snapshot gates
+# run in the same pass.
 cargo test -p subset3d-testkit --features fault-injection -q
 
 # Trace smoke: profile a small shooter workload under the event tracer,
@@ -118,8 +119,10 @@ cargo run -p subset3d-bench --bin bench_diff --release -- --check BENCH_pipeline
 # diff the observability overheads (parallel-pass metrics/trace cost,
 # plus serve-replay telemetry sampling) against the previously committed
 # report, with a 2 pp drift threshold and a 2 % absolute budget on the
-# candidate — the sharded-counter design target. Report-only for the
-# same machine-variance reason.
+# candidate — the sharded-counter design target. A row whose paired
+# readings spread wider than the budget (IQR > 2 pp) reads unresolved
+# rather than regressed. Report-only for the same machine-variance
+# reason.
 cp BENCH_pipeline.json "$TRACE_TMP/committed_bench.json"
 cargo run -p subset3d-bench --bin bench_report --release
 cargo run -p subset3d-bench --bin bench_diff --release -- \
@@ -133,11 +136,11 @@ cargo run -p subset3d-bench --bin bench_diff --release -- \
 # where the uncached baseline already prepares each draw once for all
 # six candidates, so the ratio is the rows' share alone), so it
 # carries an absolute floor that fails the build even under --check.
-# The cold workload_sim pass carries the same 1.0 floor: it
-# runs the default CacheMode::Off, which computes no digests, probes or
-# retained costs, so the out-of-the-box parallel path must at least
-# match single-thread-uncached rather than paying cache bookkeeping on a
-# pass that never revisits a batch. The remaining cold scenario
+# The cold workload_sim pass carries the same 1.0 floor: a Simulator
+# keeps no cache and computes no digests, probes or retained costs, so
+# the out-of-the-box parallel path must at least match
+# single-thread-uncached rather than paying cache bookkeeping on a pass
+# that never revisits a batch. The remaining cold scenario
 # (subsetting_pipeline) stays report-only above.
 cargo run -p subset3d-bench --bin bench_diff --release -- \
     --check --metric iterated_sweep.speedup --min-speedup 1.0 \
