@@ -1,14 +1,13 @@
 //! Compares two pipeline benchmark reports and flags regressions.
 //!
 //! ```text
-//! bench_diff <baseline.json> [candidate.json] [--threshold PCT] [--check]
+//! bench_diff <baseline.json> <candidate.json> [--threshold PCT] [--check]
 //!            [--metric SUBSTR] [--max-overhead PCT] [--min-speedup RATIO]
 //! ```
 //!
-//! With two files, the committed reports are compared directly. With
-//! one, a fresh measurement runs in-process (median-of-3 timings — the
-//! noise-robust policy, since a failing comparison must mean something)
-//! and is compared against the baseline file.
+//! Both files are reports `bench_report` wrote, so both sides of every
+//! row were timed under one policy (best of three runs). Nothing is
+//! measured here.
 //!
 //! Wall times are machine-dependent, so absolute milliseconds are shown
 //! for context but regressions are judged on the dimensionless metrics:
@@ -19,6 +18,13 @@
 //! A degenerate baseline (a stage too fast for the clock, recorded as a
 //! `0.0` speedup) has no meaningful ratio; such rows show the absolute
 //! delta in the metric's own units and are never judged as regressions.
+//!
+//! Relative rows compare like with like only: when the two reports ran
+//! at different thread counts or on different workloads (`threads`,
+//! `workload_draws`), every speedup and overhead delta reads
+//! `unresolved (threads or workload differ)` and is judged neither way.
+//! The two absolute checks below read the candidate alone, so they still
+//! apply.
 //!
 //! `--max-overhead` adds an absolute budget on top of the relative
 //! comparison: any candidate `*_overhead_pct` above the budget fails
@@ -37,17 +43,18 @@
 //! violations fail regardless.
 
 use std::process::ExitCode;
-use subset3d_bench::report::{collect, median_timer, Report};
+use subset3d_bench::report::Report;
 
 /// Allowed relative regression before the diff fails, in percent.
 const DEFAULT_THRESHOLD_PCT: f64 = 10.0;
 
 const USAGE: &str = "\
-usage: bench_diff <baseline.json> [candidate.json] [--threshold PCT] [--check]
+usage: bench_diff <baseline.json> <candidate.json> [--threshold PCT] [--check]
                   [--metric SUBSTR] [--max-overhead PCT] [--min-speedup RATIO]
 
-  Compares two BENCH_pipeline.json reports, or a committed baseline
-  against a fresh in-process measurement when no candidate is given.
+  Compares two BENCH_pipeline.json reports written by bench_report.
+  Relative rows are judged only between reports of one thread count and
+  workload; the absolute budget and floor always apply.
   --threshold PCT      allowed regression on speedups/overheads (default 10)
   --metric SUBSTR      judge only metrics whose name contains SUBSTR
   --max-overhead PCT   absolute budget: candidate *_overhead_pct above PCT fails
@@ -58,7 +65,7 @@ usage: bench_diff <baseline.json> [candidate.json] [--threshold PCT] [--check]
 
 struct Args {
     baseline: String,
-    candidate: Option<String>,
+    candidate: String,
     threshold_pct: f64,
     metric_filter: Option<String>,
     max_overhead_pct: Option<f64>,
@@ -118,18 +125,17 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             path => positional.push(path.to_string()),
         }
     }
-    match positional.len() {
-        1 | 2 => Ok(Args {
-            baseline: positional[0].clone(),
-            candidate: positional.get(1).cloned(),
+    match <[String; 2]>::try_from(positional) {
+        Ok([baseline, candidate]) => Ok(Args {
+            baseline,
+            candidate,
             threshold_pct,
             metric_filter,
             max_overhead_pct,
             min_speedup,
             check,
         }),
-        0 => Err("missing baseline report".into()),
-        _ => Err("at most two report files".into()),
+        Err(paths) => Err(format!("need two report files, got {}", paths.len())),
     }
 }
 
@@ -213,6 +219,12 @@ fn below_floor(rows: &[Row], floor: f64) -> Vec<(&'static str, String)> {
         .collect()
 }
 
+/// Whether two reports timed the same work on the same pool size, so
+/// their speedups and overheads can be compared at all.
+fn like_for_like(base: &Report, cand: &Report) -> bool {
+    base.threads == cand.threads && base.workload_draws == cand.workload_draws
+}
+
 fn rows(base: &Report, cand: &Report) -> Vec<Row> {
     let speedups = [
         (
@@ -275,16 +287,19 @@ fn clamp_overhead(pct: f64) -> f64 {
 
 /// Regressions found when judging `rows` under the given policy.
 /// Each entry is `(metric name, human-readable reason)`. Unresolved
-/// overhead rows (see [`Row::unresolved`]) are judged neither way.
+/// overhead rows (see [`Row::unresolved`]) are judged neither way; when
+/// the reports are not [`like_for_like`], no row is judged against its
+/// baseline and only the absolute budget applies.
 fn judge(
     rows: &[Row],
     threshold_pct: f64,
     max_overhead_pct: Option<f64>,
+    like_for_like: bool,
 ) -> Vec<(&'static str, String)> {
     let mut regressions = Vec::new();
     for row in rows.iter().filter(|row| !row.unresolved(max_overhead_pct)) {
         match row.delta() {
-            Delta::RelPct(d) | Delta::AbsPp(d) if d > threshold_pct => {
+            Delta::RelPct(d) | Delta::AbsPp(d) if like_for_like && d > threshold_pct => {
                 regressions.push((row.name, format!("{d:.2} worse")));
             }
             _ => {}
@@ -335,31 +350,17 @@ fn main() -> ExitCode {
         }
     };
 
-    let base = match load_report(&args.baseline) {
-        Ok(r) => r,
-        Err(msg) => {
+    let (base, cand) = match (load_report(&args.baseline), load_report(&args.candidate)) {
+        (Ok(base), Ok(cand)) => (base, cand),
+        (Err(msg), _) | (_, Err(msg)) => {
             eprintln!("bench_diff: {msg}");
             return ExitCode::from(2);
         }
     };
-    let cand = match &args.candidate {
-        Some(path) => match load_report(path) {
-            Ok(r) => r,
-            Err(msg) => {
-                eprintln!("bench_diff: {msg}");
-                return ExitCode::from(2);
-            }
-        },
-        None => {
-            println!("bench_diff: no candidate file, measuring fresh (median-of-3)...");
-            collect(median_timer)
-        }
-    };
-    let cand_label = args.candidate.as_deref().unwrap_or("<fresh run>");
     println!(
         "bench_diff: {} vs {} (threshold {:.1}%{}{})",
         args.baseline,
-        cand_label,
+        args.candidate,
         args.threshold_pct,
         match args.max_overhead_pct {
             Some(b) => format!(", overhead budget {b:.1}%"),
@@ -367,10 +368,11 @@ fn main() -> ExitCode {
         },
         if args.check { ", report only" } else { "" },
     );
-    if base.workload_draws != cand.workload_draws || base.threads != cand.threads {
+    let like_for_like = like_for_like(&base, &cand);
+    if !like_for_like {
         println!(
             "note: workload/threads differ ({} draws x{} vs {} draws x{}) — \
-             comparison is indicative only",
+             relative rows are unresolved; the budget and floor still apply",
             base.workload_draws, base.threads, cand.workload_draws, cand.threads,
         );
     }
@@ -391,7 +393,12 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let regressions = judge(&selected, args.threshold_pct, args.max_overhead_pct);
+    let regressions = judge(
+        &selected,
+        args.threshold_pct,
+        args.max_overhead_pct,
+        like_for_like,
+    );
     let floor_failures = match args.min_speedup {
         Some(floor) => below_floor(&selected, floor),
         None => Vec::new(),
@@ -408,15 +415,16 @@ fn main() -> ExitCode {
         } else {
             " ".repeat(10)
         };
+        let relative = if regressed {
+            "REGRESSED"
+        } else if like_for_like {
+            ""
+        } else {
+            "unresolved (threads or workload differ)"
+        };
         let (delta_text, verdict) = match row.delta() {
-            Delta::RelPct(d) => (
-                format!("{d:>9.2}%"),
-                if regressed { "REGRESSED" } else { "" },
-            ),
-            Delta::AbsPp(d) => (
-                format!("{d:>9.2}pp"),
-                if regressed { "REGRESSED" } else { "" },
-            ),
+            Delta::RelPct(d) => (format!("{d:>9.2}%"), relative),
+            Delta::AbsPp(d) => (format!("{d:>9.2}pp"), relative),
             Delta::AbsUnjudged(d) => (format!("{d:>+9.3} abs"), "n/a (degenerate baseline)"),
             Delta::NotComparable => ("       n/a".to_string(), "n/a"),
         };
@@ -496,10 +504,19 @@ mod tests {
 
     #[test]
     fn parse_rejects_bad_max_overhead() {
-        assert!(parse_args(&strs(&["b.json", "--max-overhead", "-1"])).is_err());
-        assert!(parse_args(&strs(&["b.json", "--max-overhead", "inf"])).is_err());
-        assert!(parse_args(&strs(&["b.json", "--max-overhead"])).is_err());
-        assert!(parse_args(&strs(&["b.json", "--metric", ""])).is_err());
+        let bad = |flags: &[&str]| parse_args(&strs(&[&["b.json", "c.json"], flags].concat()));
+        assert!(bad(&["--max-overhead", "-1"]).is_err());
+        assert!(bad(&["--max-overhead", "inf"]).is_err());
+        assert!(bad(&["--max-overhead"]).is_err());
+        assert!(bad(&["--metric", ""]).is_err());
+    }
+
+    #[test]
+    fn parse_needs_exactly_two_reports() {
+        assert!(parse_args(&strs(&["b.json", "c.json"])).is_ok());
+        assert!(parse_args(&strs(&["b.json", "--check"])).is_err());
+        assert!(parse_args(&strs(&[])).is_err());
+        assert!(parse_args(&strs(&["b.json", "c.json", "d.json"])).is_err());
     }
 
     #[test]
@@ -524,7 +541,7 @@ mod tests {
             cand_iqr: 0.0,
             higher_is_better: true,
         };
-        assert!(judge(&[row, down], 0.0, None).is_empty());
+        assert!(judge(&[row, down], 0.0, None, true).is_empty());
     }
 
     #[test]
@@ -540,7 +557,7 @@ mod tests {
             Delta::AbsPp(d) => assert!((d - 3.5).abs() < 1e-12),
             _ => panic!("expected pp delta"),
         }
-        assert_eq!(judge(&[row], 2.0, None).len(), 1);
+        assert_eq!(judge(&[row], 2.0, None, true).len(), 1);
     }
 
     #[test]
@@ -554,19 +571,22 @@ mod tests {
             cand_iqr: 0.0,
             higher_is_better: false,
         };
-        assert!(judge(std::slice::from_ref(&row), 2.0, None).is_empty());
-        let hits = judge(&[row], 2.0, Some(2.0));
+        assert!(judge(std::slice::from_ref(&row), 2.0, None, true).is_empty());
+        let hits = judge(&[row], 2.0, Some(2.0), true);
         assert_eq!(hits.len(), 1);
         assert!(hits[0].1.contains("budget"));
     }
 
     #[test]
     fn parse_min_speedup_flag() {
-        let args = parse_args(&strs(&["b.json", "--min-speedup", "1.0"])).unwrap();
-        assert_eq!(args.min_speedup, Some(1.0));
-        assert!(parse_args(&strs(&["b.json", "--min-speedup", "-1"])).is_err());
-        assert!(parse_args(&strs(&["b.json", "--min-speedup", "nan"])).is_err());
-        assert!(parse_args(&strs(&["b.json", "--min-speedup"])).is_err());
+        let parse = |flags: &[&str]| parse_args(&strs(&[&["b.json", "c.json"], flags].concat()));
+        assert_eq!(
+            parse(&["--min-speedup", "1.0"]).unwrap().min_speedup,
+            Some(1.0)
+        );
+        assert!(parse(&["--min-speedup", "-1"]).is_err());
+        assert!(parse(&["--min-speedup", "nan"]).is_err());
+        assert!(parse(&["--min-speedup"]).is_err());
     }
 
     #[test]
@@ -595,7 +615,7 @@ mod tests {
             higher_is_better: false,
         };
         let rows = [slow, fast, overhead];
-        assert!(judge(&rows, 10.0, None).is_empty());
+        assert!(judge(&rows, 10.0, None, true).is_empty());
         let fails = below_floor(&rows, 1.0);
         assert_eq!(fails.len(), 1);
         assert_eq!(fails[0].0, "workload_sim.speedup");
@@ -631,7 +651,7 @@ mod tests {
             cand_iqr: 0.0,
             higher_is_better: false,
         };
-        assert!(judge(&[neg_cand], 10.0, Some(0.1)).is_empty());
+        assert!(judge(&[neg_cand], 10.0, Some(0.1), true).is_empty());
     }
 
     #[test]
@@ -643,7 +663,7 @@ mod tests {
             cand_iqr: 0.0,
             higher_is_better: true,
         };
-        assert!(judge(&[row], 10.0, Some(0.0)).is_empty());
+        assert!(judge(&[row], 10.0, Some(0.0), true).is_empty());
     }
 
     fn overhead(cand: f64, cand_iqr: f64) -> Row {
@@ -662,16 +682,72 @@ mod tests {
         // over a 2 % budget says nothing when its IQR is 2.1 pp.
         let noisy = overhead(2.4, 2.1);
         assert!(noisy.unresolved(Some(2.0)));
-        assert!(judge(&[noisy], 2.0, Some(2.0)).is_empty());
+        assert!(judge(&[noisy], 2.0, Some(2.0), true).is_empty());
     }
 
     #[test]
     fn overhead_whose_iqr_fits_the_budget_is_judged_as_before() {
         let tight = overhead(2.4, 2.0);
         assert!(!tight.unresolved(Some(2.0)));
-        let hits = judge(&[tight], 2.0, Some(2.0));
+        let hits = judge(&[tight], 2.0, Some(2.0), true);
         assert_eq!(hits.len(), 2, "drift and budget: {hits:?}");
         // With no budget there is nothing to be unresolved against.
-        assert_eq!(judge(&[overhead(2.4, 9.0)], 2.0, None).len(), 1);
+        assert_eq!(judge(&[overhead(2.4, 9.0)], 2.0, None, true).len(), 1);
+    }
+
+    /// A report at `threads` whose three scenario speedups are `speedup`.
+    fn report(threads: usize, speedup: f64) -> Report {
+        let scenario = format!(
+            r#"{{"single_thread_uncached": {{"wall_ms": 2.0, "draws_per_sec": 1.0}},
+                "parallel_memoized": {{"wall_ms": 1.0, "draws_per_sec": 2.0}},
+                "speedup": {speedup}, "batch_cache_hit_rate": null}}"#
+        );
+        serde_json::from_str(&format!(
+            r#"{{"threads": {threads}, "workload_frames": 10, "workload_draws": 100,
+                "sweep_candidates": 6, "sweep_passes": 4, "workload_sim": {scenario},
+                "iterated_sweep": {scenario}, "subsetting_pipeline": {scenario},
+                "metrics_overhead_pct": 0.5, "telemetry_overhead_pct": 5.0,
+                "oracle_check_ms": 1.0, "metrics": {{"enabled": false,
+                "counters": {{}}, "gauges": {{}}, "histograms": {{}}}}}}"#
+        ))
+        .expect("test report parses")
+    }
+
+    #[test]
+    fn reports_at_different_thread_counts_are_not_judged_against_each_other() {
+        let (base, cand) = (report(1, 2.0), report(2, 1.0));
+        assert!(!like_for_like(&base, &cand));
+        let rows = rows(&base, &cand);
+        match rows[0].delta() {
+            Delta::RelPct(d) => assert_eq!(d, 50.0),
+            _ => panic!("expected a relative delta"),
+        }
+        // 50 % worse at 2 threads than at 1 is no regression...
+        assert!(judge(&rows, 10.0, None, false).is_empty());
+        // ...but the budget and the floor read the candidate alone.
+        let over_budget = judge(&rows, 10.0, Some(2.0), false);
+        assert_eq!(over_budget.len(), 1, "{over_budget:?}");
+        assert_eq!(over_budget[0].0, "telemetry_overhead_pct");
+        assert!(over_budget[0].1.contains("budget"));
+        assert_eq!(below_floor(&rows, 1.5).len(), 3);
+    }
+
+    #[test]
+    fn reports_at_one_thread_count_are_judged_as_before() {
+        let (base, cand) = (report(2, 2.0), report(2, 1.0));
+        assert!(like_for_like(&base, &cand));
+        let hits = judge(&rows(&base, &cand), 10.0, None, true);
+        let names: Vec<_> = hits.iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            names,
+            [
+                "workload_sim.speedup",
+                "iterated_sweep.speedup",
+                "subsetting_pipeline.speedup"
+            ]
+        );
+        let mut other_workload = report(2, 1.0);
+        other_workload.workload_draws = 200;
+        assert!(!like_for_like(&base, &other_workload));
     }
 }

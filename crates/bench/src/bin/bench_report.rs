@@ -29,8 +29,8 @@
 //! instrumented sweep-plus-pipeline pass, and runs the backend bake-off:
 //! every clustering methodology scored on prediction error, subsetting
 //! efficiency and outlier fraction across the three game profiles. The
-//! measurement code is shared with `bench_diff` via
-//! [`subset3d_bench::report`].
+//! measurement code lives in [`subset3d_bench::report`]; `bench_diff`
+//! compares two reports this binary wrote.
 //!
 //! The **serve_replay** scenario streams the same workload through
 //! concurrent `subset3d-serve` sessions in chunks, recording session and
@@ -40,8 +40,7 @@
 //! relative to that in-process baseline.
 
 use subset3d_bench::report::{
-    best_timer, collect, Report, Scenario, BAKEOFF_DRAWS_PER_FRAME, BAKEOFF_FRAMES, OVERHEAD_REPS,
-    RUNS,
+    collect, Report, Scenario, BAKEOFF_DRAWS_PER_FRAME, BAKEOFF_FRAMES, OVERHEAD_REPS, RUNS,
 };
 
 fn rate(r: Option<f64>) -> String {
@@ -60,7 +59,7 @@ fn cache_summary(name: &str, s: &Scenario) {
 }
 
 fn main() {
-    let report = collect(best_timer);
+    let report = collect();
     println!(
         "bench_report: {} frames / {} draws, {} candidate configs, {} threads",
         report.workload_frames, report.workload_draws, report.sweep_candidates, report.threads,

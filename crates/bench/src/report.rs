@@ -1,10 +1,9 @@
-//! Shared measurement machinery behind `bench_report` and `bench_diff`.
+//! Measurement machinery behind `bench_report`, and the report types
+//! `bench_diff` reads.
 //!
 //! `bench_report` writes the full [`Report`] to `BENCH_pipeline.json`;
-//! `bench_diff` deserialises committed reports and re-collects fresh
-//! ones, so everything here derives both `Serialize` and `Deserialize`
-//! and the timing helpers are shared (same workload, same scenarios,
-//! same medians) to keep the two binaries comparable.
+//! `bench_diff` deserialises two such reports and compares them, so
+//! everything here derives both `Serialize` and `Deserialize`.
 
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -263,7 +262,7 @@ pub fn best_ms(mut f: impl FnMut(), runs: usize) -> f64 {
 }
 
 /// Median-of-`runs` wall time of `f`, in milliseconds — the noise-robust
-/// timing `bench_diff` uses for fresh runs.
+/// timing each arm of the telemetry overhead pair takes.
 pub fn median_ms(mut f: impl FnMut(), runs: usize) -> f64 {
     let samples: Vec<f64> = (0..runs.max(1)).map(|_| one_ms(&mut f)).collect();
     subset3d_stats::median(&samples).expect("wall times are never NaN")
@@ -490,12 +489,9 @@ fn scenario(draws: usize, base: f64, opt: f64, batch_cache_hit_rate: Option<f64>
     }
 }
 
-/// Runs the full measurement suite and returns the report.
-///
-/// `timer` is the scenario-timing policy: [`best_ms`] in `bench_report`
-/// (fastest clean run), [`median_ms`] in `bench_diff` (robust against a
-/// single slow outlier when a failing comparison must mean something).
-pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
+/// Runs the full measurement suite and returns the report. Every
+/// scenario arm and the oracle check is the best of [`RUNS`] runs.
+pub fn collect() -> Report {
     let threads = subset3d_exec::default_threads();
     let workload = bench_workload();
     let candidates = ArchConfig::pathfinding_candidates();
@@ -509,16 +505,16 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
 
     // -- workload simulation (cold, out-of-the-box) --------------------
     subset3d_exec::set_thread_count(1);
-    let base = timer(
-        &mut || {
+    let base = best_ms(
+        || {
             let sim = Simulator::new(ArchConfig::baseline());
             sim.simulate_workload(&workload).expect("simulate");
         },
         RUNS,
     );
     subset3d_exec::set_thread_count(threads);
-    let opt = timer(
-        &mut || {
+    let opt = best_ms(
+        || {
             let sim = Simulator::new(ArchConfig::baseline());
             sim.simulate_workload(&workload).expect("simulate");
         },
@@ -535,8 +531,8 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
         session.cache_stats().batch_hit_rate()
     };
     subset3d_exec::set_thread_count(1);
-    let base = timer(
-        &mut || {
+    let base = best_ms(
+        || {
             for _ in 0..SWEEP_PASSES {
                 sweep_configs(&workload, &candidates).expect("sweep");
             }
@@ -544,8 +540,8 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
         RUNS,
     );
     subset3d_exec::set_thread_count(threads);
-    let opt = timer(
-        &mut || {
+    let opt = best_ms(
+        || {
             let session = SweepSession::new(&candidates).expect("session");
             for _ in 0..SWEEP_PASSES {
                 session.sweep(&workload).expect("sweep");
@@ -562,8 +558,8 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
 
     // -- subsetting pipeline -------------------------------------------
     subset3d_exec::set_thread_count(1);
-    let base = timer(
-        &mut || {
+    let base = best_ms(
+        || {
             let sim = Simulator::new(ArchConfig::baseline());
             Subsetter::new(SubsetConfig::default())
                 .run(&workload, &sim)
@@ -572,8 +568,8 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
         RUNS,
     );
     subset3d_exec::set_thread_count(threads);
-    let opt = timer(
-        &mut || {
+    let opt = best_ms(
+        || {
             let sim = Simulator::new(ArchConfig::baseline());
             Subsetter::new(SubsetConfig::default())
                 .run(&workload, &sim)
@@ -629,8 +625,8 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
     // -- differential-oracle wall time ---------------------------------
     let oracle_corpus = subset3d_testkit::corpus::oracle_corpus();
     let oracle_sim = Simulator::new(ArchConfig::baseline());
-    let oracle_check_ms = timer(
-        &mut || {
+    let oracle_check_ms = best_ms(
+        || {
             for (name, workload) in &oracle_corpus {
                 subset3d_testkit::oracle::run_oracle(name, workload, &oracle_sim)
                     .expect("oracle")
@@ -716,16 +712,6 @@ pub fn collect(timer: fn(&mut dyn FnMut(), usize) -> f64) -> Report {
         serve_replay: Some(serve_replay),
         serve_net: Some(serve_net),
     }
-}
-
-/// [`best_ms`] with the `fn`-pointer signature [`collect`] takes.
-pub fn best_timer(f: &mut dyn FnMut(), runs: usize) -> f64 {
-    best_ms(f, runs)
-}
-
-/// [`median_ms`] with the `fn`-pointer signature [`collect`] takes.
-pub fn median_timer(f: &mut dyn FnMut(), runs: usize) -> f64 {
-    median_ms(f, runs)
 }
 
 #[cfg(test)]

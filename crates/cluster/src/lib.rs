@@ -61,7 +61,6 @@ mod init;
 mod kmeans;
 mod medoid;
 mod points;
-mod silhouette;
 mod subsetter;
 mod threshold;
 
@@ -74,7 +73,6 @@ pub use init::kmeans_plus_plus;
 pub use kmeans::KMeans;
 pub use medoid::medoid_of;
 pub use points::Points;
-pub use silhouette::silhouette_score;
 pub use subsetter::{
     canonical_order, KMeansSubsetter, PcaAggloSubsetter, StratifiedSubsetter, Subsetter,
     SubsetterFit, ThresholdSubsetter,

@@ -7,7 +7,7 @@
 //! with one open row, and accumulates busy time per bank.
 //!
 //! It backs the simulator-validation story (how optimistic is flat
-//! bandwidth?) and is exercised by `benches/gpusim.rs`.
+//! bandwidth?).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -1,15 +1,16 @@
 #!/usr/bin/env sh
 # Tier-1 gate (see ROADMAP.md): formatting and lint gates, release build +
 # test suite, the experiment-results drift gate, the correctness harness
-# (differential oracle, mutation catch, golden snapshots), a
-# trace-subsystem smoke test, then the pipeline throughput report
-# (writes BENCH_pipeline.json at repo root).
+# (differential oracle, mutation catch, golden snapshots), trace, serve,
+# telemetry and net smoke tests, then one run of the pipeline throughput
+# report (rewrites BENCH_pipeline.json at repo root), compared with the
+# committed report by bench_diff.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
-# --all-targets lints tests, benches and examples too, not just lib code.
+# --all-targets lints tests, binaries and examples too, not just lib code.
 cargo clippy --workspace --all-targets -- -D warnings
 
 cargo build --release
@@ -109,22 +110,30 @@ kill "$NET_PID"
 wait "$NET_PID" 2>/dev/null || true
 NET_PID=""
 
-# Perf guard, report-only: compare the committed benchmark report against
-# a fresh median-of-3 measurement. Machine variance makes a hard gate
-# flaky in CI, so --check prints regressions without failing the build;
-# run bench_diff without --check locally when a perf change is on trial.
-cargo run -p subset3d-bench --bin bench_diff --release -- --check BENCH_pipeline.json
+# Benchmark report: keep the committed report, then run the suite once.
+# bench_report times every scenario arm best-of-3 and rewrites
+# BENCH_pipeline.json; each bench_diff step below compares the committed
+# report with that one fresh report, so both sides of every row share
+# one timing policy.
+cp BENCH_pipeline.json "$TRACE_TMP/committed_bench.json"
+cargo run -p subset3d-bench --bin bench_report --release
 
-# Metrics-overhead regression step: refresh BENCH_pipeline.json, then
-# diff the observability overheads (parallel-pass metrics/trace cost,
-# plus serve-replay telemetry sampling) against the previously committed
-# report, with a 2 pp drift threshold and a 2 % absolute budget on the
+# Perf guard, report-only: every speedup and overhead row against the
+# committed report at the default 10 % threshold. Best-of-3 runs of one
+# tree still spread past 10 % on a 2-vCPU host, so --check prints
+# regressions without failing the build; run bench_diff without --check
+# locally when a perf change is on trial. Reports from different thread
+# counts or workloads read unresolved rather than regressed.
+cargo run -p subset3d-bench --bin bench_diff --release -- \
+    --check "$TRACE_TMP/committed_bench.json" BENCH_pipeline.json
+
+# Metrics-overhead regression step: diff the observability overheads
+# (parallel-pass metrics/trace cost, plus serve-replay telemetry
+# sampling) with a 2 pp drift threshold and a 2 % absolute budget on the
 # candidate — the sharded-counter design target. A row whose paired
 # readings spread wider than the budget (IQR > 2 pp) reads unresolved
 # rather than regressed. Report-only for the same machine-variance
 # reason.
-cp BENCH_pipeline.json "$TRACE_TMP/committed_bench.json"
-cargo run -p subset3d-bench --bin bench_report --release
 cargo run -p subset3d-bench --bin bench_diff --release -- \
     --check --threshold 2 --metric overhead --max-overhead 2 \
     "$TRACE_TMP/committed_bench.json" BENCH_pipeline.json
