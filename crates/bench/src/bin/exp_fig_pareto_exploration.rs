@@ -7,7 +7,7 @@
 
 use subset3d_bench::{header, ms, run_default_pipeline};
 use subset3d_core::Table;
-use subset3d_gpusim::{pareto_front, ArchConfig, AreaModel, DesignPoint, Simulator};
+use subset3d_gpusim::{pareto_front, sweep_configs, ArchConfig, AreaModel, DesignPoint, Simulator};
 use subset3d_trace::gen::{GameProfile, CORPUS_SEED};
 
 /// A 12-point design grid: EU count × memory width.
@@ -46,15 +46,16 @@ fn main() {
     let area_model = AreaModel::default();
     let grid = design_grid();
 
+    let parent_times = sweep_configs(&workload, &grid).expect("sweep");
     let mut parent_points = Vec::new();
     let mut subset_points = Vec::new();
-    for config in &grid {
+    for (config, parent) in grid.iter().zip(parent_times) {
         let sim = Simulator::new(config.clone());
         let area = area_model.area_mm2(config);
         parent_points.push(DesignPoint {
             name: config.name.clone(),
             area_mm2: area,
-            time_ns: sim.simulate_workload(&workload).expect("sim").total_ns,
+            time_ns: parent.total_ns,
         });
         subset_points.push(DesignPoint {
             name: config.name.clone(),

@@ -8,7 +8,7 @@
 use crate::config::SubsetConfig;
 use crate::error::SubsetError;
 use crate::pipeline::{Subsetter, SubsettingOutcome};
-use subset3d_gpusim::{ArchConfig, FrequencySweep, Simulator};
+use subset3d_gpusim::{sweep_frequencies, ArchConfig, FrequencySweep, Simulator};
 use subset3d_stats::{mean, pearson};
 use subset3d_trace::Workload;
 
@@ -122,12 +122,19 @@ pub fn subset_suite(
 /// aggregate it. Returns `(parent improvements, subset improvements,
 /// Pearson r)`.
 ///
+/// Each game's parent totals come from one [`sweep_frequencies`] walk and
+/// are summed per clock in suite order; the subsets are replayed on one
+/// [`Simulator`] per clock.
+///
 /// # Errors
 ///
 /// Returns [`SubsetError::Simulation`] with
 /// [`subset3d_gpusim::SimError::InvalidConfig`] when `base` is invalid at
-/// any swept clock, before simulating; propagates simulator/subset
-/// errors; fails when the sweep has fewer than two points.
+/// any swept clock, and [`SubsetError::SubsetMismatch`] when `outcome`
+/// does not hold one game per workload, in order and by name, whose
+/// subset fits that workload — both before simulating; propagates
+/// simulator/subset errors; fails when the sweep has fewer than two
+/// points.
 pub fn validate_suite_scaling(
     workloads: &[Workload],
     outcome: &SuiteOutcome,
@@ -136,17 +143,32 @@ pub fn validate_suite_scaling(
 ) -> Result<(Vec<f64>, Vec<f64>, f64), SubsetError> {
     let configs = sweep.configs(base);
     configs.iter().try_for_each(ArchConfig::validate)?;
-    let mut parent_times = Vec::with_capacity(sweep.len());
-    let mut subset_times = Vec::with_capacity(sweep.len());
+    let games = &outcome.games;
+    if workloads.len() != games.len() {
+        let reason = format!("{} workloads, {} games", workloads.len(), games.len());
+        return Err(SubsetError::SubsetMismatch { reason });
+    }
+    for (w, (name, o)) in workloads.iter().zip(games) {
+        if *name != w.name {
+            let reason = format!("game '{name}' paired with workload '{}'", w.name);
+            return Err(SubsetError::SubsetMismatch { reason });
+        }
+        o.subset.validate(w)?;
+    }
+    let mut parent_times = vec![0.0; configs.len()];
+    for w in workloads {
+        let points = sweep_frequencies(w, base, sweep)?;
+        for (parent, point) in parent_times.iter_mut().zip(points) {
+            *parent += point.total_ns;
+        }
+    }
+    let mut subset_times = Vec::with_capacity(configs.len());
     for config in configs {
         let sim = Simulator::new(config);
-        let mut parent = 0.0;
         let mut subset = 0.0;
-        for (w, (_, o)) in workloads.iter().zip(&outcome.games) {
-            parent += sim.simulate_workload(w)?.total_ns;
+        for (w, (_, o)) in workloads.iter().zip(games) {
             subset += o.subset.replay(w, &sim)?;
         }
-        parent_times.push(parent);
         subset_times.push(subset);
     }
     let parent_improvement = FrequencySweep::improvement_series(&parent_times);
@@ -219,6 +241,27 @@ mod tests {
             Err(SubsetError::Simulation(
                 subset3d_gpusim::SimError::InvalidConfig { .. }
             ))
+        ));
+    }
+
+    #[test]
+    fn suite_scaling_rejects_a_short_or_reordered_outcome() {
+        let workloads = suite();
+        let sim = Simulator::new(ArchConfig::baseline());
+        let outcome = subset_suite(&workloads, &SubsetConfig::default(), &sim).unwrap();
+        let base = ArchConfig::baseline();
+        let sweep = FrequencySweep::new(vec![500.0, 900.0]);
+        // One workload against a two-game outcome.
+        assert!(matches!(
+            validate_suite_scaling(&workloads[..1], &outcome, &base, &sweep),
+            Err(SubsetError::SubsetMismatch { .. })
+        ));
+        // The two workloads swapped: each subset would replay on the
+        // other game's trace.
+        let swapped = [workloads[1].clone(), workloads[0].clone()];
+        assert!(matches!(
+            validate_suite_scaling(&swapped, &outcome, &base, &sweep),
+            Err(SubsetError::SubsetMismatch { .. })
         ));
     }
 

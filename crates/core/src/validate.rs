@@ -4,7 +4,7 @@
 use crate::error::SubsetError;
 use crate::subset::WorkloadSubset;
 use serde::{Deserialize, Serialize};
-use subset3d_gpusim::{ArchConfig, FrequencySweep, Simulator};
+use subset3d_gpusim::{sweep_configs, sweep_frequencies, ArchConfig, FrequencySweep, Simulator};
 use subset3d_stats::{pearson, rank_agreement};
 use subset3d_trace::Workload;
 
@@ -24,6 +24,9 @@ pub struct ScalingValidation {
 
 /// Sweeps GPU core frequency and correlates the parent's performance
 /// improvement with the subset's — the paper's headline validation.
+///
+/// The parent's totals come from one [`sweep_frequencies`] walk over its
+/// batches; the subset is replayed on one [`Simulator`] per clock.
 ///
 /// # Errors
 ///
@@ -55,16 +58,15 @@ pub fn frequency_scaling_validation(
     base: &ArchConfig,
     sweep: &FrequencySweep,
 ) -> Result<ScalingValidation, SubsetError> {
-    let configs = sweep.configs(base);
-    configs.iter().try_for_each(ArchConfig::validate)?;
-    let mut parent_times = Vec::with_capacity(sweep.len());
-    let mut subset_times = Vec::with_capacity(sweep.len());
-    for (i, config) in configs.into_iter().enumerate() {
-        let _t = subset3d_obs::trace_span_arg("gpusim", "sweep.candidate", "index", i as u64);
-        let sim = Simulator::new(config);
-        parent_times.push(sim.simulate_workload(workload)?.total_ns);
-        subset_times.push(subset.replay(workload, &sim)?);
-    }
+    let parent_times: Vec<f64> = sweep_frequencies(workload, base, sweep)?
+        .iter()
+        .map(|point| point.total_ns)
+        .collect();
+    let subset_times = sweep
+        .configs(base)
+        .into_iter()
+        .map(|config| subset.replay(workload, &Simulator::new(config)))
+        .collect::<Result<Vec<_>, _>>()?;
     let parent_improvement = FrequencySweep::improvement_series(&parent_times);
     let subset_improvement = FrequencySweep::improvement_series(&subset_times);
     let correlation = pearson(&parent_improvement, &subset_improvement).map_err(|e| {
@@ -85,6 +87,9 @@ pub fn frequency_scaling_validation(
 /// agreement is the fraction of rank positions on which the two orderings
 /// agree (`1.0` = the subset picks the same winner ordering).
 ///
+/// The parent's times come from one [`sweep_configs`] walk over its
+/// batches; the subset is replayed on one [`Simulator`] per candidate.
+///
 /// # Errors
 ///
 /// Returns [`SubsetError::Simulation`] with
@@ -96,15 +101,14 @@ pub fn pathfinding_rank_validation(
     subset: &WorkloadSubset,
     candidates: &[ArchConfig],
 ) -> Result<(Vec<f64>, Vec<f64>, f64), SubsetError> {
-    candidates.iter().try_for_each(ArchConfig::validate)?;
-    let mut parent = Vec::with_capacity(candidates.len());
-    let mut estimate = Vec::with_capacity(candidates.len());
-    for (i, config) in candidates.iter().enumerate() {
-        let _t = subset3d_obs::trace_span_arg("gpusim", "sweep.candidate", "index", i as u64);
-        let sim = Simulator::new(config.clone());
-        parent.push(sim.simulate_workload(workload)?.total_ns);
-        estimate.push(subset.replay(workload, &sim)?);
-    }
+    let parent: Vec<f64> = sweep_configs(workload, candidates)?
+        .iter()
+        .map(|point| point.total_ns)
+        .collect();
+    let estimate = candidates
+        .iter()
+        .map(|config| subset.replay(workload, &Simulator::new(config.clone())))
+        .collect::<Result<Vec<_>, _>>()?;
     let agreement = rank_agreement(&parent, &estimate).map_err(|e| SubsetError::InvalidConfig {
         reason: format!("rank agreement undefined: {e}"),
     })?;
@@ -116,6 +120,7 @@ mod tests {
     use super::*;
     use crate::config::SubsetConfig;
     use crate::pipeline::Subsetter;
+    use crate::suite::{subset_suite, validate_suite_scaling};
     use subset3d_gpusim::SimError;
     use subset3d_trace::gen::GameProfile;
 
@@ -164,6 +169,45 @@ mod tests {
         assert_eq!(parent.len(), 6);
         assert_eq!(estimate.len(), 6);
         assert!(agreement >= 0.5, "agreement {agreement}");
+    }
+
+    #[test]
+    fn parent_times_match_a_simulator_per_config() {
+        // 1,200 draws per game, so each sweep walk fans out over the pool.
+        let suite = [GameProfile::shooter("a"), GameProfile::rts("b")]
+            .map(|game| game.frames(12).draws_per_frame(100).build(23).generate());
+        let sim = Simulator::new(ArchConfig::baseline());
+        let outcome = subset_suite(&suite, &SubsetConfig::default(), &sim).unwrap();
+        let base = ArchConfig::baseline();
+        let sweep = FrequencySweep::standard();
+        let candidates = ArchConfig::pathfinding_candidates();
+        let total = |w: &Workload, c: &ArchConfig| {
+            let sim = Simulator::new(c.clone());
+            sim.simulate_workload(w).unwrap().total_ns
+        };
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let mut suite_times = vec![0.0; sweep.len()];
+        for (w, (_, o)) in suite.iter().zip(&outcome.games) {
+            let per_clock: Vec<f64> = sweep.configs(&base).iter().map(|c| total(w, c)).collect();
+            let v = frequency_scaling_validation(w, &o.subset, &base, &sweep).unwrap();
+            assert_eq!(
+                bits(&v.parent_improvement),
+                bits(&FrequencySweep::improvement_series(&per_clock))
+            );
+            for (sum, time) in suite_times.iter_mut().zip(&per_clock) {
+                *sum += time;
+            }
+
+            let per_candidate: Vec<f64> = candidates.iter().map(|c| total(w, c)).collect();
+            let (parent, _, _) = pathfinding_rank_validation(w, &o.subset, &candidates).unwrap();
+            assert_eq!(bits(&parent), bits(&per_candidate));
+        }
+        let (parent, _, _) = validate_suite_scaling(&suite, &outcome, &base, &sweep).unwrap();
+        assert_eq!(
+            bits(&parent),
+            bits(&FrequencySweep::improvement_series(&suite_times))
+        );
     }
 
     fn invalid(name: &str) -> ArchConfig {

@@ -1,6 +1,4 @@
-//! Distance metrics over feature vectors.
-
-use serde::{Deserialize, Serialize};
+//! Distance between feature vectors.
 
 /// Euclidean (L2) distance between two equal-length slices.
 ///
@@ -23,39 +21,6 @@ pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
         .sqrt()
 }
 
-/// Manhattan (L1) distance between two equal-length slices.
-///
-/// # Examples
-///
-/// ```
-/// let d = subset3d_features::manhattan(&[0.0, 0.0], &[3.0, 4.0]);
-/// assert_eq!(d, 7.0);
-/// ```
-pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
-/// A selectable distance metric.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DistanceMetric {
-    /// Euclidean (L2).
-    #[default]
-    Euclidean,
-    /// Manhattan (L1).
-    Manhattan,
-}
-
-impl DistanceMetric {
-    /// Computes the metric between two vectors.
-    pub fn compute(self, a: &[f64], b: &[f64]) -> f64 {
-        match self {
-            DistanceMetric::Euclidean => euclidean(a, b),
-            DistanceMetric::Manhattan => manhattan(a, b),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,7 +29,6 @@ mod tests {
     fn zero_distance_to_self() {
         let v = [1.0, -2.0, 3.5];
         assert_eq!(euclidean(&v, &v), 0.0);
-        assert_eq!(manhattan(&v, &v), 0.0);
     }
 
     #[test]
@@ -72,7 +36,6 @@ mod tests {
         let a = [1.0, 2.0];
         let b = [-1.0, 5.0];
         assert_eq!(euclidean(&a, &b), euclidean(&b, &a));
-        assert_eq!(manhattan(&a, &b), manhattan(&b, &a));
     }
 
     #[test]
@@ -81,21 +44,5 @@ mod tests {
         let b = [1.0, 1.0];
         let c = [2.0, 0.0];
         assert!(euclidean(&a, &c) <= euclidean(&a, &b) + euclidean(&b, &c) + 1e-12);
-    }
-
-    #[test]
-    fn l1_at_least_l2() {
-        let a = [0.0, 0.0, 0.0];
-        let b = [1.0, 2.0, -3.0];
-        assert!(manhattan(&a, &b) >= euclidean(&a, &b));
-    }
-
-    #[test]
-    fn metric_dispatch() {
-        let a = [0.0];
-        let b = [2.0];
-        assert_eq!(DistanceMetric::Euclidean.compute(&a, &b), 2.0);
-        assert_eq!(DistanceMetric::Manhattan.compute(&a, &b), 2.0);
-        assert_eq!(DistanceMetric::default(), DistanceMetric::Euclidean);
     }
 }

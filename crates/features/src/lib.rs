@@ -4,8 +4,8 @@
 //! the application submitted — never how a particular GPU executes it — so
 //! that one characterisation run transfers across every candidate
 //! architecture. This crate extracts those features from
-//! [`subset3d_trace::DrawCall`]s, normalises them, and provides the distance
-//! machinery used by the clustering studies (PCA lives in
+//! [`subset3d_trace::DrawCall`]s, normalises them, and provides the
+//! Euclidean distance between feature vectors (PCA lives in
 //! `subset3d_stats`, over [`FeatureMatrix::to_rows`]).
 //!
 //! # Examples
@@ -30,7 +30,7 @@ mod normalize;
 mod select;
 mod vector;
 
-pub use distance::{euclidean, manhattan, DistanceMetric};
+pub use distance::euclidean;
 pub use extract::{extract_draw_features, extract_frame_features};
 pub use kind::{FeatureGroup, FeatureKind};
 pub use matrix::FeatureMatrix;

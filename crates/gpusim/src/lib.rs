@@ -37,7 +37,6 @@
 
 pub mod analytic;
 pub mod cache;
-pub mod dram;
 pub mod event;
 #[cfg(feature = "fault-injection")]
 pub mod fault;

@@ -5,7 +5,7 @@
 //! the subsetting pipeline, the CLI — reports into one registry of named
 //! [`Counter`]s, [`Gauge`]s and fixed-bucket latency [`Histogram`]s, so
 //! a single [`snapshot`] shows where time and cache capacity go across a
-//! whole run. The [`trace`]-layer (see [`start_tracing`], [`trace_span`]
+//! whole run. The tracing layer (see [`start_tracing`], [`trace_span`]
 //! and the [`chrome`] exporters) complements the aggregates with a
 //! per-thread event timeline viewable in Perfetto, plus a bounded
 //! flight recorder for post-hoc failure diagnosis.

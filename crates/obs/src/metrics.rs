@@ -277,8 +277,8 @@ impl Histogram {
     }
 
     /// Records one duration in nanoseconds (no-op while metrics are
-    /// disabled). Values above [`MAX_RECORDABLE_NS`] — five-plus
-    /// centuries — clamp.
+    /// disabled). Values above `u64::MAX - 1` ns — five-plus centuries —
+    /// clamp.
     #[inline]
     pub fn record(&self, ns: u64) {
         if !crate::enabled() {

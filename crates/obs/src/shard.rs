@@ -20,7 +20,7 @@
 //!
 //! Indices `1..MAX_SHARDS` are exclusive: at most one live thread owns
 //! each at a time, which is what makes plain load-modify-store writes
-//! safe. Slot [`SHARED_SLOT`] is the overflow: when more than
+//! safe. Slot 0 (`SHARED_SLOT`) is the overflow: when more than
 //! `MAX_SHARDS - 1` threads are alive at once (or a thread records while
 //! its thread-locals are being torn down), the extras share it and fall
 //! back to atomic `fetch_add`, trading the uncontended write for
@@ -63,7 +63,7 @@ static SLOTS_LIVE: AtomicUsize = AtomicUsize::new(0);
 /// happened between two samples (see [`crate::timeseries`]).
 static CHURN_EPOCH: AtomicUsize = AtomicUsize::new(0);
 
-/// Total exclusive-slot recyclings so far (monotone; see [`CHURN_EPOCH`]).
+/// Total exclusive-slot recyclings so far (monotone; see `CHURN_EPOCH`).
 pub fn churn_epoch() -> u64 {
     CHURN_EPOCH.load(Ordering::Relaxed) as u64
 }

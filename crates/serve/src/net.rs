@@ -746,6 +746,11 @@ fn read_full(
     Ok(ReadOutcome::Done)
 }
 
+/// Largest step by which [`read_message`] grows a payload buffer, so the
+/// memory a message holds follows the bytes that arrived, not the
+/// peer's length claim.
+const READ_STEP_BYTES: usize = 64 * 1024;
+
 /// Reads one `[u32 len][u8 type][payload]` message. `Ok(None)` means a
 /// clean end of stream (or shutdown) at a message boundary.
 ///
@@ -776,18 +781,31 @@ fn read_message(
             max: max_message_bytes,
         });
     }
-    let mut body = vec![0u8; len as usize];
-    match read_full(reader, &mut body, shutdown)? {
-        ReadOutcome::Done => {}
-        ReadOutcome::Eof | ReadOutcome::Shutdown => {
-            return Err(ServeError::Protocol {
-                detail: "stream truncated inside a message body".into(),
-            })
-        }
+    let mut ty = [0u8; 1];
+    read_body(reader, &mut ty, shutdown)?;
+    let len = len as usize - 1;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let filled = payload.len();
+        payload.resize(filled + (len - filled).min(READ_STEP_BYTES), 0);
+        read_body(reader, &mut payload[filled..], shutdown)?;
     }
-    let ty = body[0];
-    body.remove(0);
-    Ok(Some((ty, body)))
+    Ok(Some((ty[0], payload)))
+}
+
+/// Fills `buf` from inside a message body, where an end of stream or a
+/// shutdown is a truncation.
+fn read_body(
+    reader: &mut impl Read,
+    buf: &mut [u8],
+    shutdown: Option<&AtomicBool>,
+) -> Result<(), ServeError> {
+    match read_full(reader, buf, shutdown)? {
+        ReadOutcome::Done => Ok(()),
+        ReadOutcome::Eof | ReadOutcome::Shutdown => Err(ServeError::Protocol {
+            detail: "stream truncated inside a message body".into(),
+        }),
+    }
 }
 
 fn write_message(stream: &mut impl Write, ty: u8, payload: &[u8]) -> Result<(), ServeError> {
@@ -1627,6 +1645,39 @@ mod tests {
         assert!(read_message(&mut Cursor::new(Vec::new()), 1024, None)
             .unwrap()
             .is_none());
+    }
+
+    /// Serves its bytes, then EOF, and records the largest buffer it is
+    /// offered.
+    struct OfferRecorder(Cursor<Vec<u8>>, usize);
+
+    impl Read for OfferRecorder {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.1 = self.1.max(buf.len());
+            self.0.read(buf)
+        }
+    }
+
+    #[test]
+    fn read_message_grows_the_body_as_bytes_arrive() {
+        // A 32 MiB claim under the 64 MiB cap, then 100 bytes, then EOF.
+        let mut bytes = (32u32 << 20).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[MSG_INGEST; 100]);
+        let mut reader = OfferRecorder(Cursor::new(bytes), 0);
+        let err = read_message(&mut reader, DEFAULT_MAX_MESSAGE_BYTES, None).unwrap_err();
+        assert!(matches!(err, ServeError::Protocol { .. }), "{err:?}");
+        assert!(reader.1 <= 64 * 1024, "offered a {} byte buffer", reader.1);
+
+        // A complete body over several steps arrives whole.
+        let payload: Vec<u8> = (0..150_000u32).map(|i| i as u8).collect();
+        let mut wire = Vec::new();
+        write_message(&mut wire, MSG_INGEST, &payload).unwrap();
+        let mut reader = OfferRecorder(Cursor::new(wire), 0);
+        assert_eq!(
+            read_message(&mut reader, DEFAULT_MAX_MESSAGE_BYTES, None).unwrap(),
+            Some((MSG_INGEST, payload))
+        );
+        assert!(reader.1 <= 64 * 1024, "offered a {} byte buffer", reader.1);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The frequency-scaling validation experiment (paper abstract: "correlation
 //! coefficient = 99.7%+") uses Pearson's r between the parent workload's
-//! performance-improvement series and the subset's. Spearman's rho and a
-//! rank-agreement helper support the pathfinding rank-ordering experiment.
+//! performance-improvement series and the subset's. A rank-agreement
+//! helper supports the pathfinding rank-ordering experiment.
 
 use crate::descriptive::mean;
 use std::fmt;
@@ -79,32 +79,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Result<f64, CorrelationError> {
     Ok(sxy / (sxx.sqrt() * syy.sqrt()))
 }
 
-/// Spearman rank correlation coefficient between two series.
-///
-/// Ties receive their average rank (fractional ranking), after which the
-/// Pearson coefficient of the rank vectors is returned.
-///
-/// # Errors
-///
-/// Same conditions as [`pearson`], evaluated on the rank vectors.
-///
-/// # Examples
-///
-/// ```
-/// // Monotone but non-linear relation: Spearman is exactly 1.
-/// let xs = [1.0, 2.0, 3.0, 4.0];
-/// let ys = [1.0, 8.0, 27.0, 64.0];
-/// let rho = subset3d_stats::spearman(&xs, &ys)?;
-/// assert!((rho - 1.0).abs() < 1e-12);
-/// # Ok::<(), subset3d_stats::CorrelationError>(())
-/// ```
-pub fn spearman(xs: &[f64], ys: &[f64]) -> Result<f64, CorrelationError> {
-    check_pair(xs, ys)?;
-    let rx = fractional_ranks(xs);
-    let ry = fractional_ranks(ys);
-    pearson(&rx, &ry)
-}
-
 /// Fraction of positions whose rank order agrees between two series.
 ///
 /// Both series are ranked (descending, so index 0 of the returned ordering is
@@ -146,31 +120,6 @@ fn check_pair(xs: &[f64], ys: &[f64]) -> Result<(), CorrelationError> {
         return Err(CorrelationError::TooFewObservations);
     }
     Ok(())
-}
-
-/// Fractional (average-of-ties) ranks, 1-based.
-fn fractional_ranks(values: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| {
-        values[a]
-            .partial_cmp(&values[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut ranks = vec![0.0; values.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        let mut j = i;
-        while j + 1 < idx.len() && values[idx[j + 1]] == values[idx[i]] {
-            j += 1;
-        }
-        // Average rank for the tie group [i, j].
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            ranks[k] = avg;
-        }
-        i = j + 1;
-    }
-    ranks
 }
 
 /// Indices of `values` sorted descending by value (stable on ties).
@@ -229,36 +178,12 @@ mod tests {
     }
 
     #[test]
-    fn spearman_handles_ties() {
-        let xs = [1.0, 2.0, 2.0, 3.0];
-        let ys = [1.0, 2.0, 2.0, 3.0];
-        let rho = spearman(&xs, &ys).unwrap();
-        assert!((rho - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_is_rank_invariant() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys_linear = [10.0, 20.0, 30.0, 40.0];
-        let ys_exp = [1.0, 10.0, 100.0, 1000.0];
-        let a = spearman(&xs, &ys_linear).unwrap();
-        let b = spearman(&xs, &ys_exp).unwrap();
-        assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
     fn rank_agreement_partial() {
         // Descending orders: xs -> [2,1,0]; ys -> [2,0,1]. Only position 0 agrees.
         let xs = [1.0, 2.0, 3.0];
         let ys = [2.0, 1.0, 3.0];
         let a = rank_agreement(&xs, &ys).unwrap();
         assert!((a - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fractional_ranks_average_ties() {
-        let r = fractional_ranks(&[10.0, 20.0, 20.0, 30.0]);
-        assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! This crate collects the small, dependency-free numeric routines that the
 //! rest of the workspace relies on: descriptive statistics, correlation
-//! coefficients, histograms, percentiles and simple linear regression.
+//! coefficients, histograms and percentiles.
 //!
 //! All routines operate on `f64` slices, are deterministic, and define their
 //! behaviour on degenerate inputs (empty slices, zero variance) explicitly
@@ -28,12 +28,11 @@ mod descriptive;
 mod histogram;
 mod pca;
 mod percentile;
-mod regression;
 mod rls;
 mod summary;
 
 pub use bootstrap::{bootstrap_paired_ci, BootstrapCi};
-pub use correlation::{pearson, rank_agreement, spearman, CorrelationError};
+pub use correlation::{pearson, rank_agreement, CorrelationError};
 pub use descriptive::{
     geometric_mean, max, mean, mean_iter, min, population_variance, std_dev, sum, sum_iter,
     variance,
@@ -41,7 +40,6 @@ pub use descriptive::{
 pub use histogram::{Histogram, HistogramBin};
 pub use pca::{Pca, PcaError};
 pub use percentile::{median, percentile, Percentiles};
-pub use regression::{linear_fit, LinearFit};
 pub use rls::Rls;
 pub use summary::Summary;
 

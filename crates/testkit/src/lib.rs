@@ -23,7 +23,7 @@
 //!    pipeline's output: bit-identical while the stream fits the session
 //!    reservoir (at any chunk size and thread count), bounded error-bound
 //!    drift once the reservoir overflows.
-//! 5. **Frozen references** ([`reference`]) — the scalar leader scan,
+//! 5. **Frozen references** ([`reference`](mod@reference)) — the scalar leader scan,
 //!    medoid and canonical presort over one `Vec<f64>` per point, and the
 //!    column-at-a-time feature normaliser, frozen as the bit-for-bit
 //!    references of the production lane-block kernel and one-pass

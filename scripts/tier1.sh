@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
-# Tier-1 gate (see ROADMAP.md): formatting and lint gates, release build +
-# test suite, the experiment-results drift gate, the correctness harness
-# (differential oracle, mutation catch, golden snapshots), trace, serve,
-# telemetry and net smoke tests, then one run of the pipeline throughput
-# report (rewrites BENCH_pipeline.json at repo root), compared with the
-# committed report by bench_diff.
+# Tier-1 gate (see ROADMAP.md): formatting, lint and rustdoc gates,
+# release build + test suite, the experiment-results drift gate, the
+# correctness harness (differential oracle, mutation catch, golden
+# snapshots), trace, serve, telemetry and net smoke tests, then one run
+# of the pipeline throughput report (rewrites BENCH_pipeline.json at
+# repo root), compared with the committed report by bench_diff.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -12,6 +12,10 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 # --all-targets lints tests, binaries and examples too, not just lib code.
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc gate: a broken, private or ambiguous intra-doc link fails the
+# build, so a deletion cannot leave a dangling doc link. --lib leaves out
+# the CLI binary, whose docs would collide with the root `subset3d` lib's.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 
 cargo build --release
 # --workspace: a bare `cargo test` at the root tests only the root

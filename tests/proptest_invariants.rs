@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use subset3d::cluster::{medoid_of, KMeans, Points, ThresholdClustering};
 use subset3d::core::{cluster_frame, predict_frame, ShaderVector, SubsetConfig};
-use subset3d::features::{euclidean, manhattan};
+use subset3d::features::euclidean;
 use subset3d::gpusim::{ArchConfig, Simulator};
 use subset3d::stats::{pearson, percentile, Histogram};
 use subset3d::trace::gen::GameProfile;
@@ -162,12 +162,10 @@ proptest! {
         b in prop::collection::vec(-50.0f64..50.0, 4),
         c in prop::collection::vec(-50.0f64..50.0, 4),
     ) {
-        for d in [euclidean, manhattan] {
-            prop_assert!(d(&a, &b) >= 0.0);
-            prop_assert!((d(&a, &b) - d(&b, &a)).abs() < 1e-9);
-            prop_assert!(d(&a, &a) < 1e-12);
-            prop_assert!(d(&a, &c) <= d(&a, &b) + d(&b, &c) + 1e-9);
-        }
+        prop_assert!(euclidean(&a, &b) >= 0.0);
+        prop_assert!((euclidean(&a, &b) - euclidean(&b, &a)).abs() < 1e-9);
+        prop_assert!(euclidean(&a, &a) < 1e-12);
+        prop_assert!(euclidean(&a, &c) <= euclidean(&a, &b) + euclidean(&b, &c) + 1e-9);
     }
 
     #[test]
