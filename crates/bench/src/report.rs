@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 use subset3d_core::{ClusterMethod, SubsetConfig, Subsetter};
 use subset3d_gpusim::{sweep_configs, ArchConfig, Simulator, SweepSession};
+use subset3d_obs::SamplerConfig;
 use subset3d_serve::{
     replay, replay_remote, NetServer, NetServerConfig, RemoteReplay, ReplayOptions, ReplayOutcome,
     ServeConfig, TelemetryOptions,
@@ -665,8 +666,11 @@ pub fn collect() -> Report {
         sessions: SERVE_SESSIONS,
         chunk_frames: SERVE_CHUNK_FRAMES,
         telemetry: Some(TelemetryOptions {
-            interval: Duration::ZERO,
-            ..TelemetryOptions::default()
+            sampler: SamplerConfig {
+                interval: Duration::ZERO,
+                ..SamplerConfig::default()
+            },
+            slo: None,
         }),
     };
     let telemetry_overhead = paired_overhead_pct(
@@ -991,9 +995,11 @@ mod tests {
             sessions,
             chunk_frames: 4,
             telemetry: Some(TelemetryOptions {
-                interval: Duration::ZERO,
-                capacity: 64,
-                rolling_windows: 64,
+                sampler: SamplerConfig {
+                    interval: Duration::ZERO,
+                    capacity: 64,
+                    rolling_windows: 64,
+                },
                 slo: None,
             }),
         };

@@ -467,9 +467,6 @@ fn run_stats(args: &StatsArgs, out: &mut dyn Write) -> Result<(), CliError> {
     for (name, value) in &snapshot.counters {
         table.row(vec![name.clone(), value.to_string()]);
     }
-    for (name, value) in &snapshot.gauges {
-        table.row(vec![name.clone(), value.to_string()]);
-    }
     for (name, hist) in &snapshot.histograms {
         table.row(vec![
             name.clone(),
@@ -729,11 +726,13 @@ fn telemetry_options(args: &ServeArgs) -> Option<subset3d_serve::TelemetryOption
         // sessions are falling behind.
         let budget = args.slo_budget.unwrap_or(interval);
         subset3d_serve::TelemetryOptions {
-            interval,
+            sampler: subset3d_obs::SamplerConfig {
+                interval,
+                ..Default::default()
+            },
             slo: Some(subset3d_serve::SloPolicy {
                 budget_ns: duration_ns(budget),
             }),
-            ..Default::default()
         }
     })
 }
@@ -1238,7 +1237,10 @@ mod tests {
         assert!(head.contains("clustering efficiency"), "normal output kept");
         assert!(snapshot.enabled);
         assert!(
-            snapshot.counter("cluster.threshold.fits").unwrap_or(0) > 0,
+            snapshot
+                .histograms
+                .get("cluster.threshold.fit_ns")
+                .is_some_and(|h| h.count > 0),
             "an instrumented run must observe clustering: {snapshot:?}"
         );
         assert!(

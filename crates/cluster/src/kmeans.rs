@@ -2,12 +2,10 @@
 
 use crate::clustering::Clustering;
 use crate::init::kmeans_plus_plus;
-use subset3d_obs::{LazyCounter, LazyHistogram};
+use subset3d_obs::Stage;
 
-// Aggregate fit metrics (recorded only while `subset3d_obs` is enabled),
-// complementing the per-fit trace spans: fits run and wall time each.
-static OBS_FITS: LazyCounter = LazyCounter::new("cluster.kmeans.fits");
-static OBS_FIT_NS: LazyHistogram = LazyHistogram::new("cluster.kmeans.fit_ns");
+// Wall time per fit; the histogram's count is the number of fits.
+static STAGE_FIT: Stage = Stage::new("cluster", "kmeans.fit", "cluster.kmeans.fit_ns");
 
 /// k-means clustering configuration.
 ///
@@ -66,9 +64,7 @@ impl KMeans {
         }
         let k = self.k.min(points.len());
         let dim = points[0].len();
-        OBS_FITS.incr();
-        let _fit_timer = subset3d_obs::span(&OBS_FIT_NS);
-        let mut fit_span = subset3d_obs::trace_span("cluster", "kmeans.fit");
+        let mut stage = STAGE_FIT.enter();
         let mut iterations = 0u64;
         let mut centroids: Vec<Vec<f64>> = kmeans_plus_plus(points, k, self.seed)
             .into_iter()
@@ -111,8 +107,7 @@ impl KMeans {
                 break;
             }
         }
-        fit_span.set_arg("iterations", iterations);
-        fit_span.end();
+        stage.set_arg("iterations", iterations);
         // Final assignment against the final centroids.
         for (i, p) in points.iter().enumerate() {
             assignments[i] = nearest_centroid(p, &centroids);

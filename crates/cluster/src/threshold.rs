@@ -40,12 +40,10 @@
 
 use crate::clustering::Clustering;
 use crate::points::Points;
-use subset3d_obs::{LazyCounter, LazyHistogram};
+use subset3d_obs::Stage;
 
-// Aggregate fit metrics (recorded only while `subset3d_obs` is enabled),
-// complementing the per-fit trace spans: fits run and wall time each.
-static OBS_FITS: LazyCounter = LazyCounter::new("cluster.threshold.fits");
-static OBS_FIT_NS: LazyHistogram = LazyHistogram::new("cluster.threshold.fit_ns");
+// Wall time per fit; the histogram's count is the number of fits.
+static STAGE_FIT: Stage = Stage::new("cluster", "threshold.fit", "cluster.threshold.fit_ns");
 
 /// Leaders per lane block.
 const LANES: usize = 8;
@@ -94,10 +92,7 @@ impl ThresholdClustering {
     /// as canonical order) additionally skips the leaders that coordinate
     /// alone rules out. See the module docs for the kernel.
     pub fn fit(&self, points: Points<'_>) -> Clustering {
-        OBS_FITS.incr();
-        let _fit_timer = subset3d_obs::span(&OBS_FIT_NS);
-        let _t =
-            subset3d_obs::trace_span_arg("cluster", "threshold.fit", "points", points.len() as u64);
+        let _stage = STAGE_FIT.enter_arg("points", points.len() as u64);
         LeaderScan::new(self.threshold * self.threshold, points).into_clustering(points)
     }
 }

@@ -7,12 +7,16 @@ use subset3d_cluster::{
     ThresholdSubsetter,
 };
 use subset3d_features::{extract_frame_features, FeatureMatrix};
-use subset3d_obs::LazyHistogram;
+use subset3d_obs::Stage;
 use subset3d_trace::{Frame, Workload};
 
 // Per-frame feature-extraction wall time; one sample per clustered
 // frame, recorded inside the parallel clustering stage.
-static OBS_FEATURES: LazyHistogram = LazyHistogram::new("pipeline.feature_extraction_ns");
+static STAGE_FEATURES: Stage = Stage::new(
+    "pipeline",
+    "pipeline.feature_extraction",
+    "pipeline.feature_extraction_ns",
+);
 
 /// One cluster of similar draws within a frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -204,18 +208,11 @@ fn extract(frame: &Frame, workload: &Workload, config: &SubsetConfig) -> Option<
     if frame.draw_count() == 0 {
         return None;
     }
-    let feature_span = subset3d_obs::span(&OBS_FEATURES);
-    let t_features = subset3d_obs::trace_span_arg(
-        "pipeline",
-        "pipeline.feature_extraction",
-        "frame",
-        u64::from(frame.id.raw()),
-    );
+    let stage = STAGE_FEATURES.enter_arg("frame", u64::from(frame.id.raw()));
     let matrix = extract_frame_features(frame, workload, config.features.clone());
     // Tail of the flow arrow this frame's `frame.simulate` span completes.
     subset3d_obs::trace_flow_start("pipeline", "frame.link", u64::from(frame.id.raw()));
-    t_features.end();
-    feature_span.end();
+    stage.end();
     Some(matrix)
 }
 

@@ -11,17 +11,27 @@ use crate::subset::WorkloadSubset;
 use serde::{Deserialize, Serialize};
 use subset3d_cluster::Points;
 use subset3d_gpusim::Simulator;
-use subset3d_obs::LazyHistogram;
+use subset3d_obs::Stage;
 use subset3d_stats::{mean, mean_iter};
 use subset3d_trace::Workload;
 
-// Wall time per pipeline stage; `pipeline.total_ns` spans one whole
+// Wall time per pipeline stage; `pipeline.run` spans one whole
 // `Subsetter::run`, the rest partition it (modulo glue code).
-static OBS_TOTAL: LazyHistogram = LazyHistogram::new("pipeline.total_ns");
-static OBS_CLUSTERING: LazyHistogram = LazyHistogram::new("pipeline.clustering_ns");
-static OBS_EVALUATION: LazyHistogram = LazyHistogram::new("pipeline.evaluation_ns");
-static OBS_PHASES: LazyHistogram = LazyHistogram::new("pipeline.phase_detection_ns");
-static OBS_SUBSET: LazyHistogram = LazyHistogram::new("pipeline.subset_build_ns");
+static STAGE_TOTAL: Stage = Stage::new("pipeline", "pipeline.run", "pipeline.total_ns");
+static STAGE_CLUSTERING: Stage =
+    Stage::new("pipeline", "pipeline.clustering", "pipeline.clustering_ns");
+static STAGE_EVALUATION: Stage =
+    Stage::new("pipeline", "pipeline.evaluation", "pipeline.evaluation_ns");
+static STAGE_PHASES: Stage = Stage::new(
+    "pipeline",
+    "pipeline.phase_detection",
+    "pipeline.phase_detection_ns",
+);
+static STAGE_SUBSET: Stage = Stage::new(
+    "pipeline",
+    "pipeline.subset_build",
+    "pipeline.subset_build_ns",
+);
 
 /// Per-workload clustering evaluation: the paper's Table-2 row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -150,48 +160,34 @@ impl Subsetter {
         if workload.frames().is_empty() {
             return Err(SubsetError::EmptyWorkload);
         }
-        let _total = subset3d_obs::span(&OBS_TOTAL);
-        let _t_total = subset3d_obs::trace_span_arg(
-            "pipeline",
-            "pipeline.run",
-            "frames",
-            workload.frames().len() as u64,
-        );
+        let _total = STAGE_TOTAL.enter_arg("frames", workload.frames().len() as u64);
 
-        let clustering_span = subset3d_obs::span(&OBS_CLUSTERING);
-        let t_clustering = subset3d_obs::trace_span("pipeline", "pipeline.clustering");
+        let stage = STAGE_CLUSTERING.enter();
         let clusterings = self.cluster_all_frames(workload);
-        t_clustering.end();
-        clustering_span.end();
+        stage.end();
 
         // Ground-truth frame costs and prediction quality, one pool task
         // per frame. Each task drops its frame's costs once predicted, so
         // at most one frame's costs per thread are alive at a time.
-        let evaluation_span = subset3d_obs::span(&OBS_EVALUATION);
-        let t_evaluation = subset3d_obs::trace_span("pipeline", "pipeline.evaluation");
+        let stage = STAGE_EVALUATION.enter();
         let evaluation = evaluate_frames(workload, sim, &clusterings)?;
-        t_evaluation.end();
-        evaluation_span.end();
+        stage.end();
 
-        let phase_span = subset3d_obs::span(&OBS_PHASES);
-        let t_phases = subset3d_obs::trace_span("pipeline", "pipeline.phase_detection");
+        let stage = STAGE_PHASES.enter();
         let phases = PhaseDetector::new(self.config.interval_len)
             .with_similarity(self.config.phase_similarity)
             .detect(workload)?;
         let pattern = PhasePattern::of(&phases);
-        t_phases.end();
-        phase_span.end();
+        stage.end();
 
-        let subset_span = subset3d_obs::span(&OBS_SUBSET);
-        let t_subset = subset3d_obs::trace_span("pipeline", "pipeline.subset_build");
+        let stage = STAGE_SUBSET.enter();
         let subset = WorkloadSubset::build(
             workload,
             &phases,
             &clusterings,
             self.config.frames_per_phase,
         );
-        t_subset.end();
-        subset_span.end();
+        stage.end();
 
         Ok(SubsettingOutcome {
             clusterings,

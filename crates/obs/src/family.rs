@@ -3,7 +3,7 @@
 //!
 //! A family is one metric name fanned out across a bounded table of
 //! *label slots* (`session_id`, backend, pipeline stage…). Each slot
-//! owns a full sharded [`Counter`]/[`Gauge`]/[`Histogram`], so the
+//! owns a full sharded [`Gauge`] or [`Histogram`], so the
 //! recording hot path is exactly the unlabeled path — an uncontended
 //! relaxed store into the calling thread's shard of the slot's metric —
 //! plus one array index. All label bookkeeping (claim, release,
@@ -11,7 +11,7 @@
 //!
 //! # Slot lifecycle and churn epochs
 //!
-//! A caller [`claim`](CounterFamily::claim)s a slot for a label and
+//! A caller [`claim`](HistogramFamily::claim)s a slot for a label and
 //! records through the returned lease; dropping the lease returns the
 //! slot to the family's free list. Slots are recycled: when serve
 //! sessions churn, the slot that carried `session-3` five minutes ago
@@ -27,7 +27,7 @@
 //! promise, not a best effort. The overflow slot is never reset and its
 //! epoch is fixed at zero.
 
-use crate::metrics::{Counter, Gauge, Histogram};
+use crate::metrics::{Gauge, Histogram};
 use crate::snapshot::{FamilyCell, FamilySnapshot, HistogramSnapshot};
 use std::sync::Mutex;
 
@@ -60,7 +60,7 @@ struct FamilyState {
     next_epoch: u64,
 }
 
-/// Label bookkeeping shared by the three family kinds.
+/// Label bookkeeping shared by the two family kinds.
 #[derive(Debug)]
 pub(crate) struct FamilyCore {
     state: Mutex<FamilyState>,
@@ -231,16 +231,6 @@ macro_rules! family {
 }
 
 family!(
-    /// A labeled [`Counter`] family.
-    CounterFamily,
-    /// A claim on one [`CounterFamily`] label slot.
-    CounterLease,
-    Counter,
-    u64,
-    |m: &Counter| m.get()
-);
-
-family!(
     /// A labeled [`Gauge`] family.
     GaugeFamily,
     /// A claim on one [`GaugeFamily`] label slot.
@@ -260,31 +250,11 @@ family!(
     HistogramSnapshot::of
 );
 
-impl CounterLease {
-    /// [`Counter::add`] on the leased label slot.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.family.metrics[self.slot].add(n);
-    }
-
-    /// [`Counter::incr`] on the leased label slot.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-}
-
 impl GaugeLease {
     /// [`Gauge::set`] on the leased label slot.
     #[inline]
     pub fn set(&self, v: i64) {
         self.family.metrics[self.slot].set(v);
-    }
-
-    /// [`Gauge::add`] on the leased label slot.
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.family.metrics[self.slot].add(delta);
     }
 }
 
@@ -299,7 +269,7 @@ impl HistogramLease {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{counter_family, gauge_family, histogram_family};
+    use crate::{gauge_family, histogram_family};
 
     fn with_metrics<R>(f: impl FnOnce() -> R) -> R {
         let _guard = crate::test_lock();
@@ -312,11 +282,11 @@ mod tests {
     #[test]
     fn labels_record_into_distinct_slots() {
         with_metrics(|| {
-            let fam = counter_family("famtest.distinct", "session", 4);
+            let fam = gauge_family("famtest.distinct", "session", 4);
             let a = fam.claim("s-1");
             let b = fam.claim("s-2");
-            a.add(3);
-            b.add(5);
+            a.set(3);
+            b.set(5);
             let snap = fam.snapshot();
             assert_eq!(snap.label_key, "session");
             let by_label = |l: &str| {
@@ -334,9 +304,11 @@ mod tests {
     #[test]
     fn recycled_slot_resets_and_bumps_epoch() {
         with_metrics(|| {
-            let fam = counter_family("famtest.recycle", "session", 1);
+            let fam = histogram_family("famtest.recycle_ns", "session", 1);
             let a = fam.claim("first");
-            a.add(100);
+            for _ in 0..100 {
+                a.record(64);
+            }
             let (slot_a, epoch_a) = {
                 let snap = fam.snapshot();
                 let cell = snap.cells.iter().find(|c| c.label == "first").unwrap();
@@ -345,19 +317,24 @@ mod tests {
             drop(a);
             let b = fam.claim("second");
             assert_eq!(b.slot(), slot_a, "released slot must be recycled");
-            b.add(7);
+            for _ in 0..7 {
+                b.record(64);
+            }
             let snap = fam.snapshot();
             let cell = snap.cells.iter().find(|c| c.slot == slot_a).unwrap();
             assert_eq!(cell.label, "second");
             assert!(cell.epoch > epoch_a, "recycling must bump the epoch");
-            assert_eq!(cell.value, 7, "previous occupant's counts must not leak");
+            assert_eq!(
+                cell.value.count, 7,
+                "previous occupant's counts must not leak"
+            );
         });
     }
 
     #[test]
     fn exhausted_families_spill_to_the_overflow_label() {
         with_metrics(|| {
-            let fam = counter_family("famtest.overflow", "session", 2);
+            let fam = histogram_family("famtest.overflow_ns", "session", 2);
             let leases: Vec<_> = (0..5).map(|i| fam.claim(&format!("s-{i}"))).collect();
             let overflowed: Vec<_> = leases
                 .iter()
@@ -365,7 +342,7 @@ mod tests {
                 .collect();
             assert_eq!(overflowed.len(), 3, "two exclusive slots, three spill");
             for lease in &leases {
-                lease.incr();
+                lease.record(1);
             }
             let snap = fam.snapshot();
             let other = snap
@@ -375,7 +352,7 @@ mod tests {
                 .expect("overflow cell");
             assert_eq!(other.slot, FAMILY_OVERFLOW_SLOT);
             assert_eq!(other.epoch, 0, "overflow epoch is fixed");
-            assert_eq!(other.value, 3);
+            assert_eq!(other.value.count, 3);
         });
     }
 
@@ -398,7 +375,7 @@ mod tests {
             let fam = gauge_family("famtest.occupancy", "session", 2);
             let a = fam.claim("s-1");
             a.set(9);
-            a.add(-2);
+            a.set(7);
             let snap = fam.snapshot();
             assert_eq!(
                 snap.cells.iter().find(|c| c.label == "s-1").unwrap().value,

@@ -2,13 +2,15 @@
 //! metrics and structured event tracing.
 //!
 //! Every stage of the stack — the executor, the sweep session's memo rows,
-//! the subsetting pipeline, the CLI — reports into one registry of named
-//! [`Counter`]s, [`Gauge`]s and fixed-bucket latency [`Histogram`]s, so
-//! a single [`snapshot`] shows where time and cache capacity go across a
-//! whole run. The tracing layer (see [`start_tracing`], [`trace_span`]
-//! and the [`chrome`] exporters) complements the aggregates with a
-//! per-thread event timeline viewable in Perfetto, plus a bounded
-//! flight recorder for post-hoc failure diagnosis.
+//! the subsetting pipeline, the streaming service — reports into one
+//! registry of named [`Counter`]s, fixed-bucket latency [`Histogram`]s
+//! and labeled [`GaugeFamily`]/[`HistogramFamily`] cells, so a single
+//! [`snapshot`] shows where time and cache capacity go across a whole
+//! run. The tracing layer (see [`start_tracing`], [`trace_span`] and the
+//! [`chrome`] exporters) complements the aggregates with a per-thread
+//! event timeline viewable in Perfetto, plus a bounded flight recorder
+//! for post-hoc failure diagnosis. A [`Stage`] joins the two: one guard
+//! times a pipeline stage into both its histogram and its trace span.
 //!
 //! # Cost model
 //!
@@ -19,12 +21,15 @@
 //! store into the calling thread's own cache-line-padded shard of the
 //! metric (see [`shard`] for the thread-slot registry) — no lock prefix,
 //! no cache line shared between recording threads — and snapshots
-//! aggregate across shards at read time. Histograms additionally take
-//! two `Instant` samples per span. The enabled cost is held under the
-//! 2 % overhead budget on the fully parallel bench pass, asserted by the
-//! tier-1 `bench_diff --check --max-overhead` step (process-global
-//! `fetch_add` counters used to cost ~5 % there; see
-//! `BENCH_pipeline.json`).
+//! aggregate across shards at read time. A stage entered with either
+//! layer on reads the clock twice, at entry and at drop, and both layers
+//! take that one reading. The enabled cost is budgeted at 2 % of the
+//! fully parallel bench pass (process-global `fetch_add` counters used to
+//! cost ~5 % there). `bench_report` measures it as `metrics_overhead_pct`
+//! in `BENCH_pipeline.json`, and the tier-1 `bench_diff --check
+//! --max-overhead 2` step compares it with the budget, but that step is
+//! report-only, and on a 2-vCPU host it often reads `unresolved` because
+//! the paired readings spread wider than the budget (see ROADMAP.md).
 //!
 //! Metrics observe, they never steer: no simulated value, clustering
 //! decision, or cache lookup depends on a metric, so results are
@@ -51,6 +56,32 @@
 //! Names are dot-separated, coarsest scope first: `exec.steal.empty`,
 //! `gpusim.batch_cache.hits`, `pipeline.clustering_ns`. Histogram names
 //! end in `_ns` — every histogram records nanoseconds.
+//!
+//! # Timing a stage
+//!
+//! Declare a [`Stage`] next to the code it times — trace category, trace
+//! name, histogram name — and enter it. The guard reads the clock once at
+//! entry and once at drop, and records that one duration into the
+//! histogram (while metrics are on) and as the trace span (while tracing
+//! is on), so the two always agree:
+//!
+//! ```
+//! static FIT: subset3d_obs::Stage =
+//!     subset3d_obs::Stage::new("example", "example.fit", "example.fit_ns");
+//!
+//! subset3d_obs::set_enabled(true);
+//! subset3d_obs::start_tracing(subset3d_obs::TraceMode::Full);
+//! {
+//!     let _fit = FIT.enter_arg("points", 128);
+//!     // ... the work being timed ...
+//! }
+//! let events = subset3d_obs::stop_tracing();
+//! let hist = &subset3d_obs::snapshot().histograms["example.fit_ns"];
+//! assert_eq!((events[0].name, events[0].arg_val), ("example.fit", 128));
+//! assert_eq!((hist.count, hist.sum_ns), (1, events[0].dur_ns));
+//! # subset3d_obs::set_enabled(false);
+//! # subset3d_obs::reset();
+//! ```
 
 pub mod chrome;
 mod family;
@@ -59,24 +90,21 @@ pub mod prom;
 mod registry;
 pub mod shard;
 mod snapshot;
-mod span;
 pub mod timeseries;
 mod trace;
 
 pub use chrome::{export_chrome, export_jsonl, validate_chrome, ChromeStats, TRACE_PID};
 pub use family::{
-    CounterFamily, CounterLease, GaugeFamily, GaugeLease, HistogramFamily, HistogramLease,
-    DEFAULT_FAMILY_SLOTS, FAMILY_OVERFLOW_LABEL, FAMILY_OVERFLOW_SLOT,
+    GaugeFamily, GaugeLease, HistogramFamily, HistogramLease, DEFAULT_FAMILY_SLOTS,
+    FAMILY_OVERFLOW_LABEL, FAMILY_OVERFLOW_SLOT,
 };
 pub use metrics::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use prom::{to_prometheus, validate_prometheus, PromStats};
 pub use registry::{
-    counter, counter_family, gauge, gauge_family, histogram, histogram_family, LazyCounter,
-    LazyGauge, LazyHistogram,
+    counter, gauge_family, histogram, histogram_family, LazyCounter, LazyHistogram,
 };
 pub use shard::{claim_thread_slot, shard_capacity, shard_slots_in_use, MAX_SHARDS};
 pub use snapshot::{BucketCount, FamilyCell, FamilySnapshot, HistogramSnapshot, MetricsSnapshot};
-pub use span::{span, Span};
 pub use timeseries::{
     timeseries_from_jsonl, timeseries_to_jsonl, validate_timeseries, HistogramDelta, MetricsDelta,
     RollingDigest, SamplerConfig, TelemetrySampler, TelemetryWindow, TimeSeries, TimeseriesStats,
@@ -84,8 +112,8 @@ pub use timeseries::{
 pub use trace::{
     events_dropped, events_recorded, install_panic_dump, recent_events, self_time, start_tracing,
     stop_tracing, thread_names, trace_allocs, trace_enabled, trace_flow_end, trace_flow_start,
-    trace_instant, trace_instant_arg, trace_span, trace_span_arg, SelfTime, TraceEvent, TraceMode,
-    TracePhase, TraceSpan, FLIGHT_CAPACITY,
+    trace_instant, trace_span, trace_span_arg, SelfTime, Stage, TraceEvent, TraceMode, TracePhase,
+    TraceSpan, FLIGHT_CAPACITY,
 };
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -168,17 +196,12 @@ mod tests {
     }
 
     #[test]
-    fn counters_gauges_histograms_accumulate() {
+    fn counters_and_histograms_accumulate() {
         with_metrics(|| {
             let c = counter("test.counter");
             c.incr();
             c.add(9);
             assert_eq!(c.get(), 10);
-
-            let g = gauge("test.gauge");
-            g.set(7);
-            g.add(-3);
-            assert_eq!(g.get(), 4);
 
             let h = histogram("test.hist_ns");
             for ns in [1, 1000, 1000, 1_000_000] {
@@ -193,13 +216,11 @@ mod tests {
     fn snapshot_reflects_and_reset_clears() {
         with_metrics(|| {
             counter("test.snap_counter").add(3);
-            gauge("test.snap_gauge").set(-2);
             histogram("test.snap_hist_ns").record(512);
 
             let snap = snapshot();
             assert!(snap.enabled);
             assert_eq!(snap.counter("test.snap_counter"), Some(3));
-            assert_eq!(snap.gauges.get("test.snap_gauge"), Some(&-2));
             let hist = &snap.histograms["test.snap_hist_ns"];
             assert_eq!((hist.count, hist.sum_ns), (1, 512));
             assert_eq!((hist.min_ns, hist.max_ns), (512, 512));
@@ -221,19 +242,6 @@ mod tests {
         let json = serde_json::to_string_pretty(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(snap, back);
-    }
-
-    #[test]
-    fn spans_record_elapsed_time() {
-        with_metrics(|| {
-            static SPAN_HIST: LazyHistogram = LazyHistogram::new("test.span_hist_ns");
-            {
-                let _s = span(&SPAN_HIST);
-                std::hint::black_box(0u64);
-            }
-            let h = histogram("test.span_hist_ns");
-            assert_eq!(h.count(), 1);
-        });
     }
 
     #[test]

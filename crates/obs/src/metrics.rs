@@ -115,24 +115,17 @@ impl Counter {
     }
 }
 
-/// A signed instantaneous value (queue depths, pool sizes, cache
-/// residency).
+/// A signed instantaneous value: the cell of a labeled
+/// [`GaugeFamily`](crate::GaugeFamily) (a session's reservoir occupancy).
 ///
 /// Shards hold per-thread *deltas*; [`get`](Gauge::get) sums them.
-/// [`add`](Gauge::add) is uncontended and loses nothing under
-/// concurrency. [`set`](Gauge::set) rebases the sum through the calling
-/// thread's shard, which is exact for a single-owner gauge (the intended
-/// shape) but racy when several threads `set` concurrently — last
-/// writer does *not* reliably win there, unlike pre-shard behaviour.
+/// [`set`](Gauge::set) rebases the sum through the calling thread's
+/// shard, which is exact for a single-owner gauge (the intended shape)
+/// but racy when several threads `set` concurrently — last writer does
+/// *not* reliably win there.
 #[derive(Debug)]
 pub struct Gauge {
     shards: [PadI64; MAX_SHARDS],
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Gauge {
@@ -149,14 +142,6 @@ impl Gauge {
     pub fn set(&self, v: i64) {
         if crate::enabled() {
             self.add_delta(v.wrapping_sub(self.get()));
-        }
-    }
-
-    /// Moves the gauge by `delta` (no-op while metrics are disabled).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        if crate::enabled() {
-            self.add_delta(delta);
         }
     }
 

@@ -83,23 +83,6 @@ pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
         let _ = writeln!(out, "# TYPE {name} counter");
         let _ = writeln!(out, "{name} {value}");
     }
-    for (name, fam) in &snap.counter_families {
-        let name = sanitize_name(name);
-        let _ = writeln!(out, "# TYPE {name} counter");
-        for cell in &fam.cells {
-            let _ = writeln!(
-                out,
-                "{name}{{{}}} {}",
-                family_label(&fam.label_key, &cell.label),
-                cell.value
-            );
-        }
-    }
-    for (name, value) in &snap.gauges {
-        let name = sanitize_name(name);
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {value}");
-    }
     for (name, fam) in &snap.gauge_families {
         let name = sanitize_name(name);
         let _ = writeln!(out, "# TYPE {name} gauge");
@@ -390,7 +373,19 @@ mod tests {
         MetricsSnapshot {
             enabled: true,
             counters: [("serve.frames_ingested".to_owned(), 42u64)].into(),
-            gauges: [("exec.workers".to_owned(), -1i64)].into(),
+            gauge_families: [(
+                "serve.session.reservoir_occupancy".to_owned(),
+                FamilySnapshot {
+                    label_key: "session".to_owned(),
+                    cells: vec![FamilyCell {
+                        slot: 1,
+                        label: "session-1".to_owned(),
+                        epoch: 1,
+                        value: -1i64,
+                    }],
+                },
+            )]
+            .into(),
             histograms: [("serve.ingest_ns".to_owned(), hist.clone())].into(),
             histogram_families: [(
                 "serve.session.ingest_ns".to_owned(),
@@ -432,7 +427,7 @@ mod tests {
     #[test]
     fn label_values_are_escaped() {
         let snap = MetricsSnapshot {
-            counter_families: [(
+            gauge_families: [(
                 "fam.weird".to_owned(),
                 FamilySnapshot {
                     label_key: "label".to_owned(),
@@ -440,7 +435,7 @@ mod tests {
                         slot: 1,
                         label: "a\\b\"c\nd".to_owned(),
                         epoch: 1,
-                        value: 1u64,
+                        value: 1i64,
                     }],
                 },
             )]

@@ -1,7 +1,7 @@
 //! The process-global metric registry and the lazy call-site handles.
 
-use crate::family::{CounterFamily, GaugeFamily, HistogramFamily};
-use crate::metrics::{Counter, Gauge, Histogram};
+use crate::family::{GaugeFamily, HistogramFamily};
+use crate::metrics::{Counter, Histogram};
 use crate::snapshot::MetricsSnapshot;
 use std::collections::BTreeMap;
 use std::sync::{OnceLock, RwLock};
@@ -15,9 +15,7 @@ use std::sync::{OnceLock, RwLock};
 #[derive(Default)]
 pub(crate) struct Registry {
     counters: RwLock<BTreeMap<String, &'static Counter>>,
-    gauges: RwLock<BTreeMap<String, &'static Gauge>>,
     histograms: RwLock<BTreeMap<String, &'static Histogram>>,
-    counter_families: RwLock<BTreeMap<String, &'static CounterFamily>>,
     gauge_families: RwLock<BTreeMap<String, &'static GaugeFamily>>,
     histogram_families: RwLock<BTreeMap<String, &'static HistogramFamily>>,
 }
@@ -44,23 +42,8 @@ impl Registry {
         get_or_register(&self.counters, name, Counter::new)
     }
 
-    pub(crate) fn gauge(&self, name: &str) -> &'static Gauge {
-        get_or_register(&self.gauges, name, Gauge::new)
-    }
-
     pub(crate) fn histogram(&self, name: &str) -> &'static Histogram {
         get_or_register(&self.histograms, name, Histogram::new)
-    }
-
-    pub(crate) fn counter_family(
-        &self,
-        name: &str,
-        label_key: &str,
-        slots: usize,
-    ) -> &'static CounterFamily {
-        get_or_register(&self.counter_families, name, || {
-            CounterFamily::new(label_key, slots)
-        })
     }
 
     pub(crate) fn gauge_family(
@@ -90,13 +73,6 @@ impl Registry {
             enabled,
             reset_epoch: crate::reset_epoch(),
             shard_churn_epoch: crate::shard::churn_epoch(),
-            counter_families: self
-                .counter_families
-                .read()
-                .expect("metric registry poisoned")
-                .iter()
-                .map(|(name, f)| (name.clone(), f.snapshot()))
-                .collect(),
             gauge_families: self
                 .gauge_families
                 .read()
@@ -118,13 +94,6 @@ impl Registry {
                 .iter()
                 .map(|(name, c)| (name.clone(), c.get()))
                 .collect(),
-            gauges: self
-                .gauges
-                .read()
-                .expect("metric registry poisoned")
-                .iter()
-                .map(|(name, g)| (name.clone(), g.get()))
-                .collect(),
             histograms: self
                 .histograms
                 .read()
@@ -144,14 +113,6 @@ impl Registry {
         {
             c.reset();
         }
-        for g in self
-            .gauges
-            .read()
-            .expect("metric registry poisoned")
-            .values()
-        {
-            g.reset();
-        }
         for h in self
             .histograms
             .read()
@@ -159,14 +120,6 @@ impl Registry {
             .values()
         {
             h.reset();
-        }
-        for f in self
-            .counter_families
-            .read()
-            .expect("metric registry poisoned")
-            .values()
-        {
-            f.reset();
         }
         for f in self
             .gauge_families
@@ -197,29 +150,19 @@ pub fn counter(name: &str) -> &'static Counter {
     global().counter(name)
 }
 
-/// The gauge named `name`, registered on first use.
-pub fn gauge(name: &str) -> &'static Gauge {
-    global().gauge(name)
-}
-
 /// The histogram named `name`, registered on first use.
 pub fn histogram(name: &str) -> &'static Histogram {
     global().histogram(name)
 }
 
-/// The labeled counter family named `name`, registered on first use with
+/// The labeled gauge family named `name`, registered on first use with
 /// `slots` exclusive label slots keyed by `label_key`. Later calls with a
 /// different key or slot count return the first registration unchanged.
-pub fn counter_family(name: &str, label_key: &str, slots: usize) -> &'static CounterFamily {
-    global().counter_family(name, label_key, slots)
-}
-
-/// The labeled gauge family named `name` (see [`counter_family`]).
 pub fn gauge_family(name: &str, label_key: &str, slots: usize) -> &'static GaugeFamily {
     global().gauge_family(name, label_key, slots)
 }
 
-/// The labeled histogram family named `name` (see [`counter_family`]).
+/// The labeled histogram family named `name` (see [`gauge_family`]).
 pub fn histogram_family(name: &str, label_key: &str, slots: usize) -> &'static HistogramFamily {
     global().histogram_family(name, label_key, slots)
 }
@@ -270,34 +213,9 @@ impl LazyCounter {
     }
 }
 
-/// A [`Gauge`] declared `static` at its call site (see [`LazyCounter`]).
-pub struct LazyGauge(LazyHandle<Gauge>);
-
-impl LazyGauge {
-    /// Declares a gauge handle with a global name.
-    pub const fn new(name: &'static str) -> Self {
-        LazyGauge(LazyHandle::new(name))
-    }
-
-    /// [`Gauge::set`].
-    #[inline]
-    pub fn set(&self, v: i64) {
-        if crate::enabled() {
-            self.0.get(gauge).set(v);
-        }
-    }
-
-    /// [`Gauge::add`].
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        if crate::enabled() {
-            self.0.get(gauge).add(delta);
-        }
-    }
-}
-
 /// A [`Histogram`] declared `static` at its call site (see
-/// [`LazyCounter`]).
+/// [`LazyCounter`]). To time a scope, declare a [`Stage`](crate::Stage),
+/// which records into one of these.
 pub struct LazyHistogram(LazyHandle<Histogram>);
 
 impl LazyHistogram {

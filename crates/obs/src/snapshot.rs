@@ -180,8 +180,6 @@ pub struct MetricsSnapshot {
     pub enabled: bool,
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, i64>,
     /// Histogram snapshots by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Bumped by every [`crate::reset`]; deltas across differing reset
@@ -193,9 +191,6 @@ pub struct MetricsSnapshot {
     /// (diagnostic; see [`crate::shard`]).
     #[serde(default)]
     pub shard_churn_epoch: u64,
-    /// Labeled counter families by name.
-    #[serde(default)]
-    pub counter_families: BTreeMap<String, FamilySnapshot<u64>>,
     /// Labeled gauge families by name.
     #[serde(default)]
     pub gauge_families: BTreeMap<String, FamilySnapshot<i64>>,

@@ -84,19 +84,14 @@ impl HistogramDelta {
 /// What changed between two [`MetricsSnapshot`]s.
 ///
 /// Counters and histograms are per-window increments (zero entries
-/// omitted); gauges are levels, so they carry the later snapshot's
-/// point-in-time value verbatim.
+/// omitted); gauge families are levels, so they carry the later
+/// snapshot's point-in-time values verbatim.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsDelta {
     /// Counter increments by name (zero increments omitted).
     pub counters: BTreeMap<String, u64>,
-    /// Gauge levels at the later snapshot, by name.
-    pub gauges: BTreeMap<String, i64>,
     /// Histogram increments by name (event-free histograms omitted).
     pub histograms: BTreeMap<String, HistogramDelta>,
-    /// Labeled counter family increments (epoch-checked per cell).
-    #[serde(default)]
-    pub counter_families: BTreeMap<String, FamilySnapshot<u64>>,
     /// Labeled gauge family levels at the later snapshot.
     #[serde(default)]
     pub gauge_families: BTreeMap<String, FamilySnapshot<i64>>,
@@ -145,7 +140,6 @@ impl MetricsDelta {
                     (d > 0).then(|| (name.clone(), d))
                 })
                 .collect(),
-            gauges: later.gauges.clone(),
             histograms: later
                 .histograms
                 .iter()
@@ -153,35 +147,6 @@ impl MetricsDelta {
                     let d = HistogramDelta::between(earlier.histograms.get(name), h);
                     (!d.is_empty()).then(|| (name.clone(), d))
                 })
-                .collect(),
-            counter_families: later
-                .counter_families
-                .iter()
-                .map(|(name, fam)| {
-                    let prev = earlier.counter_families.get(name);
-                    let cells = fam
-                        .cells
-                        .iter()
-                        .filter_map(|c| {
-                            let base = matching_cell(prev, c.slot, c.epoch).map_or(0, |p| p.value);
-                            let d = c.value.saturating_sub(base);
-                            (d > 0).then(|| FamilyCell {
-                                slot: c.slot,
-                                label: c.label.clone(),
-                                epoch: c.epoch,
-                                value: d,
-                            })
-                        })
-                        .collect();
-                    (
-                        name.clone(),
-                        FamilySnapshot {
-                            label_key: fam.label_key.clone(),
-                            cells,
-                        },
-                    )
-                })
-                .filter(|(_, fam)| !fam.cells.is_empty())
                 .collect(),
             gauge_families: later
                 .gauge_families
@@ -622,7 +587,7 @@ pub fn validate_timeseries(windows: &[TelemetryWindow]) -> Result<TimeseriesStat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{counter, gauge, histogram, histogram_family};
+    use crate::{counter, gauge_family, histogram, histogram_family};
 
     fn snap_after(f: impl FnOnce()) -> MetricsSnapshot {
         f();
@@ -637,15 +602,17 @@ mod tests {
             counter("ts.delta_counter").add(10);
             histogram("ts.delta_hist_ns").record(100);
         });
+        let gauge = gauge_family("ts.delta_gauge", "session", 1).claim("s-1");
         let later = snap_after(|| {
             counter("ts.delta_counter").add(5);
-            gauge("ts.delta_gauge").set(3);
+            gauge.set(3);
             histogram("ts.delta_hist_ns").record(100_000);
         });
         crate::set_enabled(false);
         let delta = MetricsDelta::between(&earlier, &later);
         assert_eq!(delta.counters.get("ts.delta_counter"), Some(&5));
-        assert_eq!(delta.gauges.get("ts.delta_gauge"), Some(&3));
+        let level = delta.gauge_families["ts.delta_gauge"].cell("s-1").unwrap();
+        assert_eq!(level.value, 3, "gauge levels pass through verbatim");
         let h = &delta.histograms["ts.delta_hist_ns"];
         assert_eq!(h.count, 1);
         assert_eq!(h.buckets.len(), 1);

@@ -32,6 +32,8 @@
 //!   recorder cheap enough to arm for whole runs, dumped post-hoc (via
 //!   [`recent_events`] / [`install_panic_dump`]) when a run fails.
 
+use crate::metrics::Histogram;
+use crate::registry::LazyHistogram;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock};
 use std::time::Instant;
@@ -330,11 +332,16 @@ pub fn install_panic_dump() {
 
 // ---- recording API ----------------------------------------------------
 
-/// An in-flight span: created by [`trace_span`], records one
-/// [`TracePhase::Span`] event covering its lifetime when dropped.
+/// An in-flight span: created by [`trace_span`] or [`Stage::enter`],
+/// records one [`TracePhase::Span`] event covering its lifetime when
+/// dropped — and, for a stage entered while metrics were on, the same
+/// duration into the stage's histogram.
 ///
-/// While tracing is disabled the span is empty and costs one relaxed
-/// atomic load at each end.
+/// The clock is read once at entry and once at drop, and both records
+/// take that one pair, so a stage's histogram sample and its trace event
+/// always agree. While the layers it feeds are off the span is empty:
+/// entering costs one relaxed atomic load per layer (tracing, plus
+/// metrics for a stage) and dropping costs nothing.
 #[must_use = "a trace span times the scope it is bound to; binding it to _ drops it immediately"]
 pub struct TraceSpan {
     inner: Option<SpanInner>,
@@ -346,9 +353,37 @@ struct SpanInner {
     arg_key: &'static str,
     arg_val: u64,
     start_ns: u64,
+    /// Whether tracing was on at entry.
+    traced: bool,
+    /// The stage's histogram, when metrics were on at entry.
+    hist: Option<&'static Histogram>,
 }
 
 impl TraceSpan {
+    // Inlined so that, with the layers off, entering a span or stage from
+    // another crate costs the mode-flag loads alone, not a call.
+    #[inline]
+    fn start(
+        cat: &'static str,
+        name: &'static str,
+        arg_key: &'static str,
+        arg_val: u64,
+        hist: Option<&'static Histogram>,
+    ) -> TraceSpan {
+        let traced = trace_enabled();
+        TraceSpan {
+            inner: (traced || hist.is_some()).then(|| SpanInner {
+                cat,
+                name,
+                arg_key,
+                arg_val,
+                start_ns: now_ns(),
+                traced,
+                hist,
+            }),
+        }
+    }
+
     /// Attaches (or replaces) the span's argument; useful when the value
     /// is only known at the end of the scope (iteration counts).
     pub fn set_arg(&mut self, key: &'static str, val: u64) {
@@ -365,11 +400,15 @@ impl TraceSpan {
 impl Drop for TraceSpan {
     fn drop(&mut self) {
         if let Some(inner) = self.inner.take() {
+            let dur_ns = now_ns().saturating_sub(inner.start_ns);
+            if let Some(hist) = inner.hist {
+                hist.record(dur_ns);
+            }
             // The mode may have flipped off mid-span; skip the orphan.
-            if trace_enabled() {
+            if inner.traced && trace_enabled() {
                 record(TraceEvent {
                     ts_ns: inner.start_ns,
-                    dur_ns: now_ns().saturating_sub(inner.start_ns),
+                    dur_ns,
                     tid: 0, // assigned by record()
                     phase: TracePhase::Span,
                     cat: inner.cat,
@@ -397,31 +436,51 @@ pub fn trace_span_arg(
     arg_key: &'static str,
     arg_val: u64,
 ) -> TraceSpan {
-    TraceSpan {
-        inner: trace_enabled().then(|| SpanInner {
+    TraceSpan::start(cat, name, arg_key, arg_val, None)
+}
+
+/// A timed pipeline stage, declared `static` next to the code it times:
+/// one guard records both its trace span and its latency histogram (see
+/// the crate docs, *Timing a stage*).
+///
+/// [`enter`](Stage::enter) returns a [`TraceSpan`] that reads the clock
+/// once at entry and once at drop and feeds that one duration to the
+/// histogram (if metrics were on at entry) and to the trace event (if
+/// tracing was). The histogram is registered on the first entry made
+/// with metrics on.
+pub struct Stage {
+    cat: &'static str,
+    name: &'static str,
+    hist: LazyHistogram,
+}
+
+impl Stage {
+    /// Declares a stage: the trace span's category and name, and the
+    /// histogram its durations are recorded into.
+    pub const fn new(cat: &'static str, name: &'static str, histogram: &'static str) -> Self {
+        Stage {
             cat,
             name,
-            arg_key,
-            arg_val,
-            start_ns: now_ns(),
-        }),
+            hist: LazyHistogram::new(histogram),
+        }
+    }
+
+    /// Enters the stage; the returned guard times it until dropped.
+    #[inline]
+    pub fn enter(&'static self) -> TraceSpan {
+        self.enter_arg("", 0)
+    }
+
+    /// Enters the stage with one keyed trace argument.
+    #[inline]
+    pub fn enter_arg(&'static self, arg_key: &'static str, arg_val: u64) -> TraceSpan {
+        let hist = crate::enabled().then(|| self.hist.resolve());
+        TraceSpan::start(self.cat, self.name, arg_key, arg_val, hist)
     }
 }
 
 #[inline]
 fn point(phase: TracePhase, cat: &'static str, name: &'static str, flow_id: u64) {
-    point_arg(phase, cat, name, flow_id, "", 0);
-}
-
-#[inline]
-fn point_arg(
-    phase: TracePhase,
-    cat: &'static str,
-    name: &'static str,
-    flow_id: u64,
-    arg_key: &'static str,
-    arg_val: u64,
-) {
     if !trace_enabled() {
         return;
     }
@@ -433,8 +492,8 @@ fn point_arg(
         cat,
         name,
         flow_id,
-        arg_key,
-        arg_val,
+        arg_key: "",
+        arg_val: 0,
     });
 }
 
@@ -442,12 +501,6 @@ fn point_arg(
 #[inline]
 pub fn trace_instant(cat: &'static str, name: &'static str) {
     point(TracePhase::Instant, cat, name, 0);
-}
-
-/// Records an instant event carrying one keyed argument.
-#[inline]
-pub fn trace_instant_arg(cat: &'static str, name: &'static str, key: &'static str, val: u64) {
-    point_arg(TracePhase::Instant, cat, name, 0, key, val);
 }
 
 /// Records the tail of a flow arrow. The arrow binds to the span
@@ -635,13 +688,14 @@ mod tests {
     #[test]
     fn flight_mode_bounds_retention() {
         let (_, events) = with_trace(TraceMode::Flight, || {
+            // Point events numbered by their flow id.
             for i in 0..(FLIGHT_CAPACITY as u64 + 500) {
-                trace_instant_arg("test", "flood", "i", i);
+                trace_flow_start("test", "flood", i);
             }
         });
         assert_eq!(events.len(), FLIGHT_CAPACITY);
         // The retained window is the most recent events, in order.
-        let vals: Vec<u64> = events.iter().map(|e| e.arg_val).collect();
+        let vals: Vec<u64> = events.iter().map(|e| e.flow_id).collect();
         assert_eq!(vals[0], 500);
         assert_eq!(*vals.last().unwrap(), FLIGHT_CAPACITY as u64 + 499);
         assert!(events_dropped() >= 500);
@@ -658,7 +712,7 @@ mod tests {
         const EXTRA: u64 = 317;
         start_tracing(TraceMode::Flight);
         for i in 0..(FLIGHT_CAPACITY as u64 + EXTRA) {
-            trace_instant_arg("test", "wrap", "i", i);
+            trace_flow_start("test", "wrap", i);
         }
         let events = stop_tracing();
         let recorded = events_recorded() - recorded0;
@@ -667,9 +721,9 @@ mod tests {
         assert_eq!(dropped, EXTRA, "dropped must count ring evictions only");
         assert_eq!(events.len() as u64 + dropped, recorded);
         // The retained window is exactly the newest FLIGHT_CAPACITY.
-        assert_eq!(events.first().unwrap().arg_val, EXTRA);
+        assert_eq!(events.first().unwrap().flow_id, EXTRA);
         assert_eq!(
-            events.last().unwrap().arg_val,
+            events.last().unwrap().flow_id,
             FLIGHT_CAPACITY as u64 + EXTRA - 1
         );
     }
@@ -743,12 +797,12 @@ mod tests {
         let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         start_tracing(TraceMode::Full);
         for i in 0..10 {
-            trace_instant_arg("test", "seq", "i", i);
+            trace_flow_start("test", "seq", i);
         }
         let tail = recent_events(3);
         assert!(trace_enabled(), "recent_events must not stop the trace");
         assert_eq!(tail.len(), 3);
-        assert_eq!(tail[2].arg_val, 9);
+        assert_eq!(tail[2].flow_id, 9);
         stop_tracing();
     }
 }

@@ -8,7 +8,7 @@
 //! the epochs match.
 
 use std::sync::{Mutex, MutexGuard};
-use subset3d_obs::{counter_family, histogram_family, MetricsDelta, FAMILY_OVERFLOW_LABEL};
+use subset3d_obs::{gauge_family, histogram_family, MetricsDelta, FAMILY_OVERFLOW_LABEL};
 
 /// Serialises tests that flip the process-global enabled flag.
 fn lock() -> MutexGuard<'static, ()> {
@@ -22,22 +22,26 @@ fn churn_straddling_delta_attributes_counts_to_the_new_occupant() {
     subset3d_obs::set_enabled(true);
 
     // One exclusive slot forces session B to recycle session A's slot.
-    let fam = counter_family("churn.ingested", "session", 1);
+    let fam = histogram_family("churn.ingested_ns", "session", 1);
 
     let a = fam.claim("session-a");
-    a.add(100);
+    for _ in 0..100 {
+        a.record(1_000);
+    }
     let earlier = subset3d_obs::snapshot();
 
     // The churn straddles the sampling interval: A closes, B opens and
     // does strictly less work than A did.
     drop(a);
     let b = fam.claim("session-b");
-    b.add(30);
+    for _ in 0..30 {
+        b.record(1_000);
+    }
     let later = subset3d_obs::snapshot();
     subset3d_obs::set_enabled(false);
 
-    let earlier_cell = &earlier.counter_families["churn.ingested"].cells[0];
-    let later_cell = &later.counter_families["churn.ingested"].cells[0];
+    let earlier_cell = &earlier.histogram_families["churn.ingested_ns"].cells[0];
+    let later_cell = &later.histogram_families["churn.ingested_ns"].cells[0];
     assert_eq!(earlier_cell.slot, later_cell.slot, "slot must be recycled");
     assert_ne!(
         earlier_cell.epoch, later_cell.epoch,
@@ -45,34 +49,36 @@ fn churn_straddling_delta_attributes_counts_to_the_new_occupant() {
     );
 
     let delta = MetricsDelta::between(&earlier, &later);
-    let cells = &delta.counter_families["churn.ingested"].cells;
+    let cells = &delta.histogram_families["churn.ingested_ns"].cells;
     assert_eq!(cells.len(), 1);
     assert_eq!(cells[0].label, "session-b");
     // A slot-keyed saturating delta would compute 30 - 100 = 0 and lose
     // B's activity entirely; the epoch check must attribute B's full
     // since-claim total to B.
-    assert_eq!(cells[0].value, 30);
+    assert_eq!(cells[0].value.count, 30);
 }
 
 #[test]
 fn same_occupant_across_samples_still_gets_a_plain_delta() {
     let _guard = lock();
     subset3d_obs::set_enabled(true);
-    let fam = counter_family("churn.steady", "session", 2);
+    let fam = histogram_family("churn.steady_ns", "session", 2);
     let a = fam.claim("session-a");
-    a.add(10);
+    for _ in 0..10 {
+        a.record(1_000);
+    }
     let earlier = subset3d_obs::snapshot();
-    a.add(7);
+    for _ in 0..7 {
+        a.record(1_000);
+    }
     let later = subset3d_obs::snapshot();
     subset3d_obs::set_enabled(false);
 
     let delta = MetricsDelta::between(&earlier, &later);
-    let cell = delta.counter_families["churn.steady"]
-        .cells
-        .iter()
-        .find(|c| c.label == "session-a")
+    let cell = delta.histogram_families["churn.steady_ns"]
+        .cell("session-a")
         .expect("live label present");
-    assert_eq!(cell.value, 7, "unchurned slots subtract normally");
+    assert_eq!(cell.value.count, 7, "unchurned slots subtract normally");
 }
 
 #[test]
@@ -110,24 +116,63 @@ fn histogram_family_churn_does_not_conflate_latency_counts() {
 }
 
 #[test]
+fn gauge_family_churn_reports_the_new_occupants_level() {
+    // Gauges are levels: a recycled slot must start from zero under the
+    // new label, not carry the dead label's level forward.
+    let _guard = lock();
+    subset3d_obs::set_enabled(true);
+    let fam = gauge_family("churn.occupancy", "session", 1);
+    let a = fam.claim("session-a");
+    a.set(900);
+    let earlier = subset3d_obs::snapshot();
+    drop(a);
+    let b = fam.claim("session-b");
+    let recycled = subset3d_obs::snapshot();
+    b.set(40);
+    let later = subset3d_obs::snapshot();
+    subset3d_obs::set_enabled(false);
+
+    let before = &earlier.gauge_families["churn.occupancy"].cells[0];
+    let fresh = &recycled.gauge_families["churn.occupancy"].cells[0];
+    assert_eq!(before.slot, fresh.slot, "slot must be recycled");
+    assert!(fresh.epoch > before.epoch, "recycling must bump the epoch");
+    assert_eq!(
+        (fresh.label.as_str(), fresh.value),
+        ("session-b", 0),
+        "the dead label's level leaked into the new occupant"
+    );
+
+    let delta = MetricsDelta::between(&earlier, &later);
+    let cells = &delta.gauge_families["churn.occupancy"].cells;
+    assert_eq!(cells.len(), 1);
+    assert_eq!((cells[0].label.as_str(), cells[0].value), ("session-b", 40));
+}
+
+#[test]
 fn repeated_churn_waves_never_produce_phantom_deltas() {
     // Many claim/record/release waves through a 2-slot family, sampling
     // between every wave: every per-wave delta must attribute exactly
     // the wave's own recorded total, whatever slot it landed on.
     let _guard = lock();
     subset3d_obs::set_enabled(true);
-    let fam = counter_family("churn.waves", "session", 2);
+    let fam = histogram_family("churn.waves_ns", "session", 2);
     let mut prev = subset3d_obs::snapshot();
     for wave in 0u64..12 {
         let label = format!("wave-{wave}");
         let lease = fam.claim(&label);
-        lease.add(wave + 1);
+        for _ in 0..=wave {
+            lease.record(1_000);
+        }
         let snap = subset3d_obs::snapshot();
         let delta = MetricsDelta::between(&prev, &snap);
-        let cells = &delta.counter_families["churn.waves"].cells;
+        let cells = &delta.histogram_families["churn.waves_ns"].cells;
         assert_eq!(cells.len(), 1, "wave {wave}: exactly one active label");
         assert_eq!(cells[0].label, label);
-        assert_eq!(cells[0].value, wave + 1, "wave {wave} delta conflated");
+        assert_eq!(
+            cells[0].value.count,
+            wave + 1,
+            "wave {wave} delta conflated"
+        );
         drop(lease);
         prev = snap;
     }
@@ -138,19 +183,22 @@ fn repeated_churn_waves_never_produce_phantom_deltas() {
 fn overflow_spill_is_shared_but_never_epoch_conflated() {
     let _guard = lock();
     subset3d_obs::set_enabled(true);
-    let fam = counter_family("churn.spill", "session", 1);
+    let fam = histogram_family("churn.spill_ns", "session", 1);
     let a = fam.claim("session-a");
     let b = fam.claim("session-b"); // spills: only one exclusive slot
-    a.add(1);
-    b.add(2);
+    a.record(1_000);
+    b.record(1_000);
+    b.record(1_000);
     let earlier = subset3d_obs::snapshot();
-    b.add(3);
+    for _ in 0..3 {
+        b.record(1_000);
+    }
     let later = subset3d_obs::snapshot();
     subset3d_obs::set_enabled(false);
 
     let delta = MetricsDelta::between(&earlier, &later);
-    let cells = &delta.counter_families["churn.spill"].cells;
+    let cells = &delta.histogram_families["churn.spill_ns"].cells;
     assert_eq!(cells.len(), 1);
     assert_eq!(cells[0].label, FAMILY_OVERFLOW_LABEL);
-    assert_eq!(cells[0].value, 3);
+    assert_eq!(cells[0].value.count, 3);
 }

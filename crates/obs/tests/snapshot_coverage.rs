@@ -162,3 +162,27 @@ fn metrics_snapshot_survives_serde_round_trip() {
     assert_eq!(snap.counter(cname), back.counter(cname));
     assert_eq!(back.histograms.get(hname), snap.histograms.get(hname));
 }
+
+#[test]
+fn files_written_with_scalar_gauges_and_counter_families_still_load() {
+    // Snapshots and telemetry windows once carried `gauges` and
+    // `counter_families` maps; files written then must still load, with
+    // those maps ignored.
+    let snapshot = r#"{"enabled": true, "counters": {"exec.batches": 4},
+        "gauges": {"exec.workers": 2}, "histograms": {},
+        "reset_epoch": 1, "shard_churn_epoch": 0,
+        "counter_families": {"serve.ingested": {"label_key": "session",
+            "cells": [{"slot": 1, "label": "session-1", "epoch": 1, "value": 3}]}},
+        "gauge_families": {}, "histogram_families": {}}"#;
+    let snap: MetricsSnapshot = serde_json::from_str(snapshot).expect("old snapshot loads");
+    assert_eq!(snap.counter("exec.batches"), Some(4));
+
+    let window = r#"{"index": 0, "unix_ms": 1, "elapsed_ns": 5, "duration_ns": 5,
+        "delta": {"counters": {"serve.chunks_ingested": 2}, "gauges": {"exec.workers": 2},
+            "histograms": {}, "counter_families": {}, "gauge_families": {},
+            "histogram_families": {}},
+        "rolling": {}}"#
+        .replace('\n', " ");
+    let windows = subset3d_obs::timeseries_from_jsonl(&window).expect("old window loads");
+    assert_eq!(windows[0].delta.counters["serve.chunks_ingested"], 2);
+}

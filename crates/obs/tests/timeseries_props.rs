@@ -60,18 +60,18 @@ proptest! {
     /// passes the structural validator.
     #[test]
     fn exposition_escapes_arbitrary_labels(labels in vec(label_strategy(), 1..5)) {
-        let cells: Vec<FamilyCell<u64>> = labels
+        let cells: Vec<FamilyCell<i64>> = labels
             .iter()
             .enumerate()
             .map(|(i, label)| FamilyCell {
                 slot: i + 1,
                 label: label.clone(),
                 epoch: (i + 1) as u64,
-                value: (i + 1) as u64,
+                value: (i + 1) as i64,
             })
             .collect();
         let snap = MetricsSnapshot {
-            counter_families: [(
+            gauge_families: [(
                 "prop.labels".to_owned(),
                 FamilySnapshot { label_key: "session".to_owned(), cells },
             )]

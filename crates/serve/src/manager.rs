@@ -175,10 +175,15 @@ impl SessionManager {
     }
 
     /// [`SessionManager::ingest`], returning the ingest time it records in
-    /// the session's telemetry family. Callers report that one sample; a
-    /// second clock around the call would read a few microseconds more
-    /// and could land in the next power-of-two bucket.
-    fn ingest_timed(&self, id: SessionId, frames: &[Frame]) -> Result<TimedUpdate, ServeError> {
+    /// the session's telemetry family. Callers ([`crate::replay()`] and the
+    /// network front-end's backpressure) report that one sample; a second
+    /// clock around the call would read a few microseconds more and could
+    /// land in the next power-of-two bucket.
+    pub(crate) fn ingest_timed(
+        &self,
+        id: SessionId,
+        frames: &[Frame],
+    ) -> Result<TimedUpdate, ServeError> {
         let entry = self.session(id)?;
         entry.last_touched.store(self.now_ns(), Ordering::Relaxed);
         let start = Instant::now();

@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use subset3d_obs::{LazyCounter, LazyHistogram};
+use subset3d_obs::{LazyCounter, Stage};
 use subset3d_trace::{
     decode_frames, decode_workload, encode_frames, encode_workload, Frame, Workload,
 };
@@ -61,7 +61,7 @@ static OBS_NET_BYTES_IN: LazyCounter = LazyCounter::new("serve.net.bytes_in");
 static OBS_NET_PROTOCOL_ERRORS: LazyCounter = LazyCounter::new("serve.net.protocol_errors");
 static OBS_NET_THROTTLES: LazyCounter = LazyCounter::new("serve.net.throttled_updates");
 static OBS_NET_SHEDS: LazyCounter = LazyCounter::new("serve.net.sessions_shed");
-static OBS_NET_REQUEST: LazyHistogram = LazyHistogram::new("serve.net.request_ns");
+static STAGE_NET_REQUEST: Stage = Stage::new("serve", "net.request", "serve.net.request_ns");
 
 /// Handshake magic: `"S3NP"` (subset3d net protocol), little-endian.
 pub const NET_MAGIC: u32 = 0x504e_3353;
@@ -504,7 +504,7 @@ fn handle_connection(
             };
         OBS_NET_MESSAGES.incr();
         OBS_NET_BYTES_IN.add(4 + 1 + payload.len() as u64);
-        let span = subset3d_obs::span(&OBS_NET_REQUEST);
+        let stage = STAGE_NET_REQUEST.enter();
         let outcome = handle_message(
             &mut stream,
             manager,
@@ -514,7 +514,7 @@ fn handle_connection(
             ty,
             &payload,
         );
-        span.end();
+        stage.end();
         match outcome {
             Ok(()) => {}
             // Per-request failures (unknown session, sim rejection…)
@@ -560,10 +560,9 @@ fn handle_message(
                 detail: format!("undecodable INGEST frames: {e}"),
             })?;
             t_decode.end();
-            let start = Instant::now();
-            let update = manager.ingest(id, &frames)?;
-            let ingest_ns = start.elapsed().as_nanos() as u64;
-            let pressure = watch.map_or(Pressure::Nominal, |w| w.record(ingest_ns));
+            let timed = manager.ingest_timed(id, &frames)?;
+            let update = timed.update;
+            let pressure = watch.map_or(Pressure::Nominal, |w| w.record(timed.ingest_ns));
             let t_encode = subset3d_obs::trace_span("serve", "net.encode");
             let mut reply = id.raw().to_le_bytes().to_vec();
             reply.push(pressure.to_byte());

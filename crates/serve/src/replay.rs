@@ -13,7 +13,7 @@ use crate::session::{ServeConfig, SessionReport, SubsetUpdate};
 use crate::telemetry::{SloVerdict, SloWatchdog, TelemetryOptions, TelemetryReport};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-use subset3d_obs::timeseries::{SamplerConfig, TelemetrySampler};
+use subset3d_obs::timeseries::TelemetrySampler;
 use subset3d_trace::{Frame, Workload};
 
 /// How a replay cuts and fans out the corpus.
@@ -162,11 +162,7 @@ pub fn replay(
     let _flag_guard = options.telemetry.as_ref().map(|t| {
         let guard = MetricsFlagGuard(subset3d_obs::enabled());
         subset3d_obs::set_enabled(true);
-        sampler = Some(TelemetrySampler::new(SamplerConfig {
-            interval: t.interval,
-            capacity: t.capacity,
-            rolling_windows: t.rolling_windows,
-        }));
+        sampler = Some(TelemetrySampler::new(t.sampler.clone()));
         watchdog = t.slo.map(SloWatchdog::new);
         guard
     });
@@ -366,9 +362,11 @@ mod tests {
     /// digests span the replay end to end.
     fn eager_telemetry(slo: Option<crate::SloPolicy>) -> TelemetryOptions {
         TelemetryOptions {
-            interval: std::time::Duration::ZERO,
-            capacity: 64,
-            rolling_windows: 64,
+            sampler: subset3d_obs::SamplerConfig {
+                interval: std::time::Duration::ZERO,
+                capacity: 64,
+                rolling_windows: 64,
+            },
             slo,
         }
     }

@@ -26,13 +26,13 @@ use serde::{Deserialize, Serialize};
 use subset3d_cluster::{IncrementalFit, Points, SubsetterFit};
 use subset3d_core::{cluster_frame_with_point, predict_frame, FrameClustering, SubsetConfig};
 use subset3d_gpusim::{ArchConfig, Simulator};
-use subset3d_obs::{LazyCounter, LazyHistogram};
+use subset3d_obs::{LazyCounter, Stage};
 use subset3d_stats::Rls;
 use subset3d_trace::{Frame, Workload};
 
 static OBS_FRAMES: LazyCounter = LazyCounter::new("serve.frames_ingested");
 static OBS_CHUNKS: LazyCounter = LazyCounter::new("serve.chunks_ingested");
-static OBS_INGEST: LazyHistogram = LazyHistogram::new("serve.ingest_ns");
+static STAGE_INGEST: Stage = Stage::new("serve", "serve.ingest", "serve.ingest_ns");
 
 /// Default reservoir capacity: comfortably above any realistic session
 /// length in this corpus, so sessions stay in the bit-identical regime
@@ -298,9 +298,7 @@ impl Session {
     /// Propagates simulator failures; the session state then excludes the
     /// failed frame and every frame after it in the chunk.
     pub fn ingest(&mut self, frames: &[Frame]) -> Result<SubsetUpdate, ServeError> {
-        let span = subset3d_obs::span(&OBS_INGEST);
-        let t_chunk =
-            subset3d_obs::trace_span_arg("serve", "serve.ingest", "frames", frames.len() as u64);
+        let stage = STAGE_INGEST.enter_arg("frames", frames.len() as u64);
         // The chunk's frame points reach the global fit in one ingest, so
         // it re-elects each changed medoid once per chunk.
         let dim = self.config.subset.features.len();
@@ -314,8 +312,7 @@ impl Session {
         ingested?;
         self.chunks_ingested += 1;
         OBS_CHUNKS.incr();
-        t_chunk.end();
-        span.end();
+        stage.end();
         Ok(self.update())
     }
 

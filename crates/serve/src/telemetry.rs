@@ -17,8 +17,7 @@
 //! metrics, not just in the summary.
 
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
-use subset3d_obs::timeseries::TelemetryWindow;
+use subset3d_obs::timeseries::{SamplerConfig, TelemetryWindow};
 use subset3d_obs::{LazyCounter, MetricsSnapshot};
 
 static OBS_SLO_VIOLATIONS: LazyCounter = LazyCounter::new("serve.slo.violations");
@@ -30,28 +29,14 @@ const INGEST_HISTOGRAM: &str = "serve.ingest_ns";
 const SESSION_INGEST_PREFIX: &str = "serve.session.ingest_ns{";
 
 /// How a replay samples telemetry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TelemetryOptions {
-    /// Minimum time between samples; zero samples every chunk round.
-    pub interval: Duration,
-    /// Ring capacity, in windows.
-    pub capacity: usize,
-    /// Windows merged into each rolling percentile digest.
-    pub rolling_windows: usize,
+    /// Sampling interval (zero samples every chunk round), ring capacity
+    /// and rolling-digest span.
+    pub sampler: SamplerConfig,
     /// Latency budget to hold rolling p99 ingest latency against; `None`
     /// disables the watchdog.
     pub slo: Option<SloPolicy>,
-}
-
-impl Default for TelemetryOptions {
-    fn default() -> Self {
-        TelemetryOptions {
-            interval: Duration::from_millis(250),
-            capacity: 512,
-            rolling_windows: 8,
-            slo: None,
-        }
-    }
 }
 
 /// The watchdog's budget: rolling p99 ingest latency per chunk must stay

@@ -12,6 +12,10 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 # --all-targets lints tests, binaries and examples too, not just lib code.
 cargo clippy --workspace --all-targets -- -D warnings
+# The fault-injection code (gpusim::fault and the mutation_caught test)
+# compiles only under its feature, which the workspace run leaves off.
+cargo clippy -p subset3d-gpusim -p subset3d-testkit --all-targets \
+    --features subset3d-gpusim/fault-injection,subset3d-testkit/fault-injection -- -D warnings
 # Rustdoc gate: a broken, private or ambiguous intra-doc link fails the
 # build, so a deletion cannot leave a dangling doc link. --lib leaves out
 # the CLI binary, whose docs would collide with the root `subset3d` lib's.
