@@ -262,6 +262,33 @@ pub fn best_ms(mut f: impl FnMut(), runs: usize) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Best-of-[`RUNS`] wall times, in milliseconds, of one speedup arm's
+/// two sides: `single` on one thread and `parallel` on `threads`. Each
+/// repetition times one pass of each side back to back, alternating
+/// which goes first, so a burst of host contention lands on both sides
+/// rather than on one side's whole block. The pool is resized outside
+/// the timed closures, and left at `threads`.
+fn interleaved_best_ms(
+    threads: usize,
+    mut single: impl FnMut(),
+    mut parallel: impl FnMut(),
+) -> (f64, f64) {
+    let (mut base, mut opt) = (f64::INFINITY, f64::INFINITY);
+    for rep in 0..RUNS {
+        for single_side in [rep % 2 == 0, rep % 2 == 1] {
+            if single_side {
+                subset3d_exec::set_thread_count(1);
+                base = base.min(one_ms(&mut single));
+            } else {
+                subset3d_exec::set_thread_count(threads);
+                opt = opt.min(one_ms(&mut parallel));
+            }
+        }
+    }
+    subset3d_exec::set_thread_count(threads);
+    (base, opt)
+}
+
 /// Median-of-`runs` wall time of `f`, in milliseconds — the noise-robust
 /// timing each arm of the telemetry overhead pair takes.
 pub fn median_ms(mut f: impl FnMut(), runs: usize) -> f64 {
@@ -498,29 +525,20 @@ pub fn collect() -> Report {
     let candidates = ArchConfig::pathfinding_candidates();
     let draws = workload.total_draws();
 
-    // Thread-count changes happen OUTSIDE the timed closures: resizing
-    // spawns a fresh pool, and measuring that re-spawn used to shave the
-    // parallel arms' speedups below their true value. The single-pass
+    // Each speedup arm interleaves its 1-thread and full-thread passes
+    // (`interleaved_best_ms`). Thread-count changes happen OUTSIDE the
+    // timed closures: resizing spawns a fresh pool, and measuring that
+    // re-spawn used to shave the parallel arms' speedups below their true
+    // value. The single-pass
     // scenarios run a `Simulator`, which keeps no cache, so they report
     // no hit rate.
 
     // -- workload simulation (cold, out-of-the-box) --------------------
-    subset3d_exec::set_thread_count(1);
-    let base = best_ms(
-        || {
-            let sim = Simulator::new(ArchConfig::baseline());
-            sim.simulate_workload(&workload).expect("simulate");
-        },
-        RUNS,
-    );
-    subset3d_exec::set_thread_count(threads);
-    let opt = best_ms(
-        || {
-            let sim = Simulator::new(ArchConfig::baseline());
-            sim.simulate_workload(&workload).expect("simulate");
-        },
-        RUNS,
-    );
+    let sim_pass = || {
+        let sim = Simulator::new(ArchConfig::baseline());
+        sim.simulate_workload(&workload).expect("simulate");
+    };
+    let (base, opt) = interleaved_best_ms(threads, sim_pass, sim_pass);
     let workload_sim = scenario(draws, base, opt, None);
 
     // -- iterated pathfinding sweep ------------------------------------
@@ -531,24 +549,19 @@ pub fn collect() -> Report {
         }
         session.cache_stats().batch_hit_rate()
     };
-    subset3d_exec::set_thread_count(1);
-    let base = best_ms(
+    let (base, opt) = interleaved_best_ms(
+        threads,
         || {
             for _ in 0..SWEEP_PASSES {
                 sweep_configs(&workload, &candidates).expect("sweep");
             }
         },
-        RUNS,
-    );
-    subset3d_exec::set_thread_count(threads);
-    let opt = best_ms(
         || {
             let session = SweepSession::new(&candidates).expect("session");
             for _ in 0..SWEEP_PASSES {
                 session.sweep(&workload).expect("sweep");
             }
         },
-        RUNS,
     );
     let iterated_sweep = scenario(
         draws * candidates.len() * SWEEP_PASSES,
@@ -558,35 +571,18 @@ pub fn collect() -> Report {
     );
 
     // -- subsetting pipeline -------------------------------------------
-    subset3d_exec::set_thread_count(1);
-    let base = best_ms(
-        || {
-            let sim = Simulator::new(ArchConfig::baseline());
-            Subsetter::new(SubsetConfig::default())
-                .run(&workload, &sim)
-                .expect("pipeline");
-        },
-        RUNS,
-    );
-    subset3d_exec::set_thread_count(threads);
-    let opt = best_ms(
-        || {
-            let sim = Simulator::new(ArchConfig::baseline());
-            Subsetter::new(SubsetConfig::default())
-                .run(&workload, &sim)
-                .expect("pipeline");
-        },
-        RUNS,
-    );
+    let pipeline_pass = || {
+        let sim = Simulator::new(ArchConfig::baseline());
+        Subsetter::new(SubsetConfig::default())
+            .run(&workload, &sim)
+            .expect("pipeline");
+    };
+    let (base, opt) = interleaved_best_ms(threads, pipeline_pass, pipeline_pass);
     let subsetting_pipeline = scenario(draws, base, opt, None);
 
     // -- observability overhead ----------------------------------------
     // Same shape as workload_sim's optimized arm; each rep interleaves
     // an off and an on pass so machine drift cancels.
-    let sim_pass = || {
-        let sim = Simulator::new(ArchConfig::baseline());
-        sim.simulate_workload(&workload).expect("simulate");
-    };
     let metrics_overhead = paired_overhead_pct(
         || one_ms(sim_pass),
         || {

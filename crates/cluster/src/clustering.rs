@@ -51,13 +51,34 @@ impl Clustering {
         self.assignments.len()
     }
 
-    /// Member point indices of every cluster.
+    /// Member point indices of every cluster, ascending.
     pub fn members(&self) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new(); self.centroids.len()];
-        for (i, &a) in self.assignments.iter().enumerate() {
-            out[a].push(i);
+        self.member_groups().iter().map(<[usize]>::to_vec).collect()
+    }
+
+    /// [`Clustering::members`] in one flat array, filled by a counting
+    /// pass over the assignments.
+    pub(crate) fn member_groups(&self) -> MemberGroups {
+        let k = self.centroids.len();
+        let mut offsets = vec![0usize; k + 1];
+        for &a in &self.assignments {
+            offsets[a + 1] += 1;
         }
-        out
+        for c in 0..k {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut next = offsets[..k].to_vec();
+        let mut members = vec![0; self.assignments.len()];
+        for (i, &a) in self.assignments.iter().enumerate() {
+            members[next[a]] = i;
+            next[a] += 1;
+        }
+        MemberGroups { offsets, members }
+    }
+
+    /// The centroids, moved out of the clustering.
+    pub(crate) fn into_centroids(self) -> Vec<Vec<f64>> {
+        self.centroids
     }
 
     /// Sum of squared Euclidean distances of points to their centroids.
@@ -159,6 +180,21 @@ impl Clustering {
     }
 }
 
+/// The members of every cluster in one flat array: cluster `k`'s members,
+/// ascending, are `members[offsets[k]..offsets[k + 1]]`.
+#[derive(Debug)]
+pub(crate) struct MemberGroups {
+    offsets: Vec<usize>,
+    members: Vec<usize>,
+}
+
+impl MemberGroups {
+    /// Each cluster's members, in cluster order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[usize]> {
+        self.offsets.windows(2).map(|w| &self.members[w[0]..w[1]])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,6 +207,15 @@ mod tests {
         assert_eq!(members[1], vec![1, 3, 4]);
         assert_eq!(c.point_count(), 5);
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn member_groups_keep_ascending_members_and_empty_clusters() {
+        let c = Clustering::new(vec![2, 0, 2, 2, 0], vec![vec![0.0]; 4]);
+        let groups = c.member_groups();
+        let groups: Vec<&[usize]> = groups.iter().collect();
+        assert_eq!(groups, [&[1, 4][..], &[], &[0, 2, 3], &[]]);
+        assert_eq!(c.members(), vec![vec![1, 4], vec![], vec![0, 2, 3], vec![]]);
     }
 
     #[test]

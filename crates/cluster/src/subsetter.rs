@@ -23,7 +23,14 @@ use crate::kmeans::KMeans;
 use crate::medoid::medoid_of;
 use crate::points::Points;
 use crate::threshold::ThresholdClustering;
+use subset3d_obs::Stage;
 use subset3d_stats::Pca;
+
+// Canonical order plus the gather into one sorted buffer, per fit.
+static STAGE_PRESORT: Stage = Stage::new("cluster", "cluster.presort", "cluster.presort_ns");
+
+// Medoid election, empty clusters dropped first, per fit.
+static STAGE_MEDOIDS: Stage = Stage::new("cluster", "cluster.medoids", "cluster.medoids_ns");
 
 /// Result of one backend fit: a partition plus representatives.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,17 +115,19 @@ pub trait Subsetter {
         if points.is_empty() {
             return SubsetterFit::empty();
         }
+        let stage = STAGE_PRESORT.enter();
         let order = canonical_order(points);
         let sorted = points.gather(&order);
+        stage.end();
         let fit = self.fit_ordered(Points::new(&sorted, points.dim()));
         debug_assert!(fit.check(points.len()).is_ok(), "backend contract");
         let mut assignments = vec![0usize; points.len()];
-        for (sorted_idx, &orig_idx) in order.iter().enumerate() {
-            assignments[orig_idx] = fit.clustering.assignments()[sorted_idx];
+        for (&id, &orig_idx) in fit.clustering.assignments().iter().zip(&order) {
+            assignments[orig_idx] = id;
         }
         let representatives = fit.representatives.iter().map(|&r| order[r]).collect();
         SubsetterFit {
-            clustering: Clustering::new(assignments, fit.clustering.centroids().to_vec()),
+            clustering: Clustering::new(assignments, fit.clustering.into_centroids()),
             representatives,
         }
     }
@@ -163,9 +172,10 @@ pub(crate) fn canonical_cmp(a: (&[f64], usize), b: (&[f64], usize)) -> std::cmp:
 /// Builds a fit from a partition by electing each cluster's medoid as its
 /// representative, dropping empty clusters first.
 fn fit_with_medoids(points: Points<'_>, mut clustering: Clustering) -> SubsetterFit {
+    let _stage = STAGE_MEDOIDS.enter();
     clustering.drop_empty();
     let representatives = clustering
-        .members()
+        .member_groups()
         .iter()
         .map(|members| medoid_of(points, members).expect("non-empty cluster has a medoid"))
         .collect();

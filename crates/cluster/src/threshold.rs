@@ -8,17 +8,12 @@
 //!
 //! # The kernel
 //!
-//! The point–leader test is `‖p − l‖² ≤ t²`, summed coordinate by
-//! coordinate from zero and rejected as soon as a partial sum exceeds
-//! `t²`. One kernel runs it:
+//! The point–leader test is `‖p − l‖² ≤ t²`: the *sequential sum* S of
+//! the terms `t_c = fl(fl(p_c − l_c)²)` in coordinate order from zero,
+//! compared with `limit = t²`. Two devices decide which leaders a point
+//! runs that test against; neither changes a verdict, so the first leader
+//! that accepts a point is the one a plain scan from leader 0 would pick.
 //!
-//! * **Lane blocks.** Every complete run of [`LANES`] leaders is stored
-//!   coordinate-major, and a point is tested against all lanes of a block
-//!   at once: per-lane running sums in coordinate order with sticky
-//!   `exceeded` flags. Each lane therefore sums in the same order as the
-//!   scalar test and reaches the same verdict (a NaN sum never exceeds;
-//!   a sum that exceeded once stays rejected). Leaders outside a complete
-//!   block — the scalar head and tail — use the scalar test.
 //! * **Sorted window.** When coordinate 0 is NaN-free and non-decreasing
 //!   over the input (canonical order guarantees it), leaders are created in
 //!   coordinate-0 order and every later point lies at or beyond the current
@@ -26,17 +21,57 @@
 //!   then rejected by every later point too, and those leaders form a
 //!   prefix of the creation order. The kernel retires that prefix instead
 //!   of re-testing it. Unsorted input scans every leader.
+//! * **Pruning bound.** When every coordinate of the scanned rows is
+//!   finite and `dim ≥ 2`, the scan picks the bound coordinates F: the
+//!   `min(4, dim − 1)` coordinates other than coordinate 0 with the
+//!   largest spread `Σ (x − mean)²` over the rows, ties to the lower
+//!   index, stored in ascending order. Each leader's F coordinates live in
+//!   padded blocks of [`LANES`] leaders, coordinate-major. A point computes
+//!   per lane the bound B, the sequential sum over F in ascending order of
+//!   the same terms `t_c`, and drops every lane with `B > limit`; padded
+//!   and retired lanes are masked out explicitly. The survivors, in
+//!   creation order, get the full sequential sum S, computed without early
+//!   exit and compared once. F depends only on the rows, so it is not a
+//!   setting, and any F is exact: it only changes how many survive. A
+//!   block has room for four coordinates; when `|F| < 4` the spare slots
+//!   hold `0.0` for point and leader alike, and their terms add exactly
+//!   zero.
 //!
-//! Blocks and the window change only which tests run, never a verdict, so
-//! the first leader that accepts a point is the one a scalar scan from
-//! leader 0 would pick.
+//! Rows with a non-finite coordinate, and 1-D rows, keep the plain test
+//! from the window start: the early-exit sum, rejected as soon as a
+//! partial sum exceeds `limit`.
+//!
+//! ## Why the bound is exact
+//!
+//! * *No NaN on finite rows.* The difference of two finite values is
+//!   finite or ±∞, and its square is finite or +∞, so every `t_c ≥ 0` and
+//!   no sum of them is NaN.
+//! * *B never exceeds S.* Walk the coordinates in ascending order, with
+//!   partial S and partial B both starting at 0. A coordinate outside F
+//!   adds `t_c ≥ 0` to S alone, and a coordinate in F adds the same `t_c`
+//!   to both. Round-to-nearest is monotone, so `fl(s + t) ≥ s` and
+//!   `s ≥ b ⇒ fl(s + t) ≥ fl(b + t)`: partial S stays ≥ partial B at every
+//!   step, and `B ≤ S` bit for bit.
+//! * *So the bound rejects only what the test rejects.* `B > limit`
+//!   implies `S > limit`. The partial sums never decrease, so the early
+//!   exit fires exactly when the final S exceeds `limit`, and comparing
+//!   the final S once gives the same verdict. No margin is needed, at any
+//!   `limit` from 0 to +∞.
+//! * *Order matters.* Summing F in any other order (by spread, say) can
+//!   round B above S, and the bound would then need a margin.
+//! * *Non-finite rows break it.* `∞ − ∞` is NaN, and a NaN sum never
+//!   exceeds, so those scans keep the plain test.
 //!
 //! # Resuming
 //!
 //! [`ThresholdClustering::fit`] runs the scan from empty and drops it. The
 //! threshold backend's streaming fit keeps it as a [`LeaderScan`] over
 //! canonically ordered rows and resumes it after each inserted row, with
-//! the same loop (see [`LeaderScan`]).
+//! the same loop (see [`LeaderScan`]). The bound blocks follow the leaders
+//! through a resume. A resumed scan picks F again whenever its row count
+//! reaches a power of two, so a scan that started empty gets the bound
+//! once rows arrive, and drops the bound when a non-finite row arrives.
+//! Neither touches a decision: F changes which tests run, never a verdict.
 
 use crate::clustering::Clustering;
 use crate::points::Points;
@@ -45,8 +80,11 @@ use subset3d_obs::Stage;
 // Wall time per fit; the histogram's count is the number of fits.
 static STAGE_FIT: Stage = Stage::new("cluster", "threshold.fit", "cluster.threshold.fit_ns");
 
-/// Leaders per lane block.
+/// Leaders per bound block.
 const LANES: usize = 8;
+
+/// Most coordinates the pruning bound sums.
+const BOUND_COORDS: usize = 4;
 
 /// Leader clustering with a Euclidean distance threshold.
 ///
@@ -167,7 +205,7 @@ impl LeaderScan {
             window: first_coordinate_sorted(points),
             assign: Vec::with_capacity(points.len()),
             starts: Vec::with_capacity(points.len()),
-            leaders: Leaders::default(),
+            leaders: Leaders::new(bound_coords(points)),
         };
         scan.run(points, 0, |_, _| false);
         scan
@@ -246,11 +284,14 @@ impl LeaderScan {
                 touched: Vec::new(),
             };
         }
+        if !points.row(at).iter().all(|x| x.is_finite()) {
+            // The bound is exact on finite rows only. It changes no
+            // verdict, so dropping it keeps every stored decision.
+            self.leaders.bind(points, Vec::new());
+        }
         let kept = self.leaders.rows.partition_point(|&l| l < at);
         let old_leaders = self.leaders.rows.split_off(kept);
-        self.leaders
-            .blocks
-            .truncate(kept / LANES * LANES * points.dim());
+        self.leaders.truncate_blocks();
         self.leaders.start = at.checked_sub(1).map_or(0, |i| self.starts[i]);
         let old_assign = self.assign.split_off(at);
         let old_starts = self.starts.split_off(at);
@@ -299,6 +340,12 @@ impl LeaderScan {
         for &o in &old_leaders[old_tail - kept..] {
             self.leaders.push(points, new_row(o));
         }
+        if points.len().is_power_of_two() {
+            // The rows doubled since F was last picked: pick it again, so a
+            // scan that started empty gets the bound and F keeps following
+            // the rows, at amortised O(dim) per insert.
+            self.leaders.bind(points, bound_coords(points));
+        }
         Resumed {
             kept,
             fresh,
@@ -308,30 +355,106 @@ impl LeaderScan {
     }
 }
 
+/// The bound coordinates F of `points` (see the module docs): the
+/// `min(4, dim − 1)` coordinates after coordinate 0 with the largest
+/// spread, ascending. Empty, which turns the bound off, when `dim < 2` or
+/// a coordinate is not finite.
+fn bound_coords(points: Points<'_>) -> Vec<usize> {
+    let dim = points.dim();
+    if dim < 2 {
+        return Vec::new();
+    }
+    let mut sums = vec![0.0; dim];
+    let mut finite = true;
+    for row in points.rows() {
+        for (sum, &x) in sums.iter_mut().zip(row) {
+            finite &= x.is_finite();
+            *sum += x;
+        }
+    }
+    if !finite {
+        return Vec::new();
+    }
+    let n = points.len() as f64;
+    let means: Vec<f64> = sums.iter().map(|&sum| sum / n).collect();
+    let mut spreads = vec![0.0; dim];
+    for row in points.rows() {
+        for ((spread, &mean), &x) in spreads.iter_mut().zip(&means).zip(row) {
+            *spread += (x - mean) * (x - mean);
+        }
+    }
+    let mut coords: Vec<usize> = (1..dim).collect();
+    coords.sort_by(|&a, &b| spreads[b].total_cmp(&spreads[a]).then(a.cmp(&b)));
+    coords.truncate(BOUND_COORDS);
+    // The exactness argument sums F in ascending coordinate order.
+    coords.sort_unstable();
+    coords
+}
+
+/// Bound coordinates of [`LANES`] leaders, coordinate-major: `[f][l]` is
+/// bound coordinate `f` of lane `l`. Slots past `|F|`, and lanes past the
+/// last leader, hold `0.0`.
+type Block = [[f64; LANES]; BOUND_COORDS];
+
 /// The leaders of one scan, in creation order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Leaders {
     /// Row of each leader.
     rows: Vec<usize>,
-    /// Every complete run of [`LANES`] leaders, coordinate-major: block
-    /// `b` holds coordinate `c` of leader `b * LANES + l` at
-    /// `(b * dim + c) * LANES + l`.
-    blocks: Vec<f64>,
+    /// The bound coordinates F, ascending; empty when the bound is off.
+    coords: Vec<usize>,
+    /// Block `b` holds the bound coordinates of leaders
+    /// `b * LANES..(b + 1) * LANES`; empty when the bound is off.
+    blocks: Vec<Block>,
     /// First leader the sorted window has not retired.
     start: usize,
 }
 
 impl Leaders {
-    /// Appends row `row` of `points` as a leader, sealing a block once
-    /// [`LANES`] are pending.
+    /// No leaders yet, with bound coordinates `coords`.
+    fn new(coords: Vec<usize>) -> Self {
+        Leaders {
+            rows: Vec::new(),
+            coords,
+            blocks: Vec::new(),
+            start: 0,
+        }
+    }
+
+    /// Switches to bound coordinates `coords` and rebuilds the blocks of
+    /// the leaders so far, which are rows of `points`.
+    fn bind(&mut self, points: Points<'_>, coords: Vec<usize>) {
+        self.coords = coords;
+        self.blocks.clear();
+        for id in 0..self.rows.len() {
+            self.fill_lane(points, id);
+        }
+    }
+
+    /// Drops the blocks past the last leader, after leaders were dropped.
+    fn truncate_blocks(&mut self) {
+        self.blocks.truncate(self.rows.len().div_ceil(LANES));
+    }
+
+    /// Appends row `row` of `points` as a leader.
     fn push(&mut self, points: Points<'_>, row: usize) {
         self.rows.push(row);
-        if self.rows.len().is_multiple_of(LANES) {
-            let pending = &self.rows[self.rows.len() - LANES..];
-            for c in 0..points.dim() {
-                self.blocks
-                    .extend(pending.iter().map(|&r| points.row(r)[c]));
-            }
+        self.fill_lane(points, self.rows.len() - 1);
+    }
+
+    /// Writes leader `id`'s bound coordinates into its lane, opening a
+    /// block when the leader is the first of one.
+    fn fill_lane(&mut self, points: Points<'_>, id: usize) {
+        if self.coords.is_empty() {
+            return;
+        }
+        if id.is_multiple_of(LANES) {
+            self.blocks.push([[0.0; LANES]; BOUND_COORDS]);
+        }
+        let row = points.row(self.rows[id]);
+        let block = &mut self.blocks[id / LANES];
+        for (lanes, &c) in block.iter_mut().zip(&self.coords) {
+            lanes[id % LANES] = row[c];
         }
     }
 
@@ -350,48 +473,54 @@ impl Leaders {
         }
     }
 
-    /// The first live leader within `limit` of `p`: scalar head up to the
-    /// first block boundary, lane blocks, scalar tail.
+    /// The first live leader within `limit` of `p`: the bound over F drops
+    /// most of each block, and the survivors take the full test. Without
+    /// the bound, the plain test of every live leader.
     fn find(&self, points: Points<'_>, p: &[f64], limit: f64) -> Option<usize> {
-        let scalar = |from: usize, to: usize| {
-            (from..to).find(|&ci| within_sq(p, points.row(self.rows[ci]), limit))
-        };
         let n = self.rows.len();
-        let sealed = n - n % LANES;
-        if self.start >= sealed {
-            return scalar(self.start, n);
+        if self.coords.is_empty() {
+            return (self.start..n).find(|&id| within_sq(p, points.row(self.rows[id]), limit));
         }
-        let head_end = self.start.next_multiple_of(LANES);
-        let block_len = points.dim() * LANES;
-        scalar(self.start, head_end)
-            .or_else(|| {
-                (head_end / LANES..sealed / LANES).find_map(|b| {
-                    let block = &self.blocks[b * block_len..(b + 1) * block_len];
-                    scan_block(block, p, limit).map(|lane| b * LANES + lane)
-                })
-            })
-            .or_else(|| scalar(sealed, n))
+        // Unused slots are 0.0 on both sides: their terms add exactly zero.
+        let mut q = [0.0; BOUND_COORDS];
+        for (q, &c) in q.iter_mut().zip(&self.coords) {
+            *q = p[c];
+        }
+        let first = self.start / LANES;
+        for (b, block) in self.blocks[first..].iter().enumerate() {
+            let base = (first + b) * LANES;
+            let mut bound = [0.0f64; LANES];
+            for (&x, lanes) in q.iter().zip(block) {
+                for l in 0..LANES {
+                    let d = x - lanes[l];
+                    bound[l] += d * d;
+                }
+            }
+            // Lanes of live leaders: not retired, not padding.
+            let live = (1u32 << (n - base).min(LANES)) - (1u32 << self.start.saturating_sub(base));
+            let mut survivors =
+                (0..LANES).fold(0u32, |mask, l| mask | u32::from(bound[l] <= limit) << l) & live;
+            while survivors != 0 {
+                let id = base + survivors.trailing_zeros() as usize;
+                if sq_dist(p, points.row(self.rows[id])) <= limit {
+                    return Some(id);
+                }
+                survivors &= survivors - 1;
+            }
+        }
+        None
     }
 }
 
-/// [`within_sq`] for every lane of one block at once: the first lane whose
-/// running sum never exceeded `limit`. The sticky flags are all-ones masks
-/// so the whole update stays in vector registers.
-fn scan_block(block: &[f64], p: &[f64], limit: f64) -> Option<usize> {
-    let mut acc = [0.0f64; LANES];
-    let mut exceeded = [0u64; LANES];
-    let (coords, _) = block.as_chunks::<LANES>();
-    for (&x, lanes) in p.iter().zip(coords) {
-        for l in 0..LANES {
-            let d = x - lanes[l];
-            acc[l] += d * d;
-            exceeded[l] |= 0u64.wrapping_sub(u64::from(acc[l] > limit));
-        }
-        if exceeded.iter().fold(u64::MAX, |all, &e| all & e) == u64::MAX {
-            return None;
-        }
+/// The sequential squared distance `‖a − b‖²`, without early exit. On
+/// finite rows, `sq_dist(a, b) <= limit` is [`within_sq`]'s verdict.
+fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (x, y) in a.iter().zip(b) {
+        let d = x - y;
+        acc += d * d;
     }
-    exceeded.iter().position(|&e| e == 0)
+    acc
 }
 
 /// Early-exit squared-distance test: `‖a − b‖² ≤ limit`.
@@ -410,10 +539,6 @@ fn within_sq(a: &[f64], b: &[f64], limit: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-        a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-    }
 
     fn fit(t: f64, data: &[f64], dim: usize) -> Clustering {
         ThresholdClustering::new(t).fit(Points::new(data, dim))
@@ -465,5 +590,156 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_threshold_rejected() {
         ThresholdClustering::new(-1.0);
+    }
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A finite value drawn across the whole `f64` range: arbitrary bit
+    /// patterns, subnormals, magnitudes whose squares overflow to +∞, and
+    /// small values.
+    fn finite(rng: &mut StdRng) -> f64 {
+        let sign = if rng.gen::<bool>() { -1.0 } else { 1.0 };
+        match rng.gen_range(0..4) {
+            0 => loop {
+                let x = f64::from_bits(rng.gen());
+                if x.is_finite() {
+                    break x;
+                }
+            },
+            1 => sign * f64::from_bits(rng.gen_range(1..1u64 << 52)),
+            2 => sign * rng.gen_range(1e154..f64::MAX),
+            _ => rng.gen_range(-4.0..4.0),
+        }
+    }
+
+    /// The sequential sum of the terms of `coords`, in the given order.
+    fn sum_over(p: &[f64], l: &[f64], coords: &[usize]) -> f64 {
+        let mut acc = 0.0;
+        for &c in coords {
+            let d = p[c] - l[c];
+            acc += d * d;
+        }
+        acc
+    }
+
+    #[test]
+    fn bound_never_exceeds_the_sum_and_keeps_every_verdict() {
+        let mut rng = StdRng::seed_from_u64(0x05EE_DB0D);
+        for case in 0..4000 {
+            let dim = rng.gen_range(1..=64usize);
+            let p: Vec<f64> = (0..dim).map(|_| finite(&mut rng)).collect();
+            // Leaders near the point as well as far from it, so sums land
+            // on both sides of every limit.
+            let l: Vec<f64> = p
+                .iter()
+                .map(|&x| match rng.gen_range(0..3) {
+                    0 => x,
+                    1 => x + rng.gen_range(-1.0..1.0),
+                    _ => finite(&mut rng),
+                })
+                .collect();
+            let s = sq_dist(&p, &l);
+            assert!(s >= 0.0, "case {case}: sum {s}");
+            let all: Vec<usize> = (0..dim).collect();
+            assert_eq!(s.to_bits(), sum_over(&p, &l, &all).to_bits());
+            // Any ascending subset, coordinate 0 included.
+            let subset: Vec<usize> = (0..dim).filter(|_| rng.gen::<bool>()).collect();
+            let b = sum_over(&p, &l, &subset);
+            assert!(b <= s, "case {case}: bound {b} over {subset:?} > sum {s}");
+            // The kernel's F: at most four ascending coordinates past 0.
+            let coords: Vec<usize> = (1..dim)
+                .filter(|_| rng.gen_range(0..dim) < 6)
+                .take(BOUND_COORDS)
+                .collect();
+            let data = [l.as_slice(), p.as_slice()].concat();
+            let points = Points::new(&data, dim);
+            let mut leaders = Leaders::new(coords.clone());
+            leaders.push(points, 0);
+            for limit in [s, s.next_down(), s.next_up(), 0.0, f64::INFINITY] {
+                if limit < 0.0 {
+                    continue;
+                }
+                let want = within_sq(&p, &l, limit);
+                assert_eq!(
+                    leaders.find(points, &p, limit),
+                    want.then_some(0),
+                    "case {case}: dim {dim} F {coords:?} limit {limit:e} sum {s:e}"
+                );
+                // The whole scan, with F picked from the two rows' spreads.
+                let scan = LeaderScan::new(limit, points);
+                assert_eq!(
+                    scan.assignments()[1] == 0,
+                    want,
+                    "case {case}: dim {dim} F {:?} limit {limit:e} sum {s:e}",
+                    scan.leaders.coords
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bound_coords_take_the_widest_four_in_ascending_order() {
+        let weights = [1.0, 1.0, 8.0, 2.0, 16.0, 4.0, 0.5];
+        let rows: Vec<f64> = (0..50)
+            .flat_map(|i| weights.map(|w| w * f64::from(i % 7)))
+            .collect();
+        assert_eq!(bound_coords(Points::new(&rows, 7)), [2, 3, 4, 5]);
+        // Equal spreads go to the lower index; coordinate 0 never counts.
+        let flat: Vec<f64> = (0..60).map(|i| f64::from(i % 6 + i / 6)).collect();
+        assert_eq!(bound_coords(Points::new(&flat, 6)), [1, 2, 3, 4]);
+        assert_eq!(bound_coords(Points::new(&flat, 3)), [1, 2]);
+        assert!(bound_coords(Points::new(&flat, 1)).is_empty());
+        let mut hostile = flat.clone();
+        hostile[17] = f64::INFINITY;
+        assert!(bound_coords(Points::new(&hostile, 6)).is_empty());
+    }
+
+    /// Whether every leader's lane holds its bound coordinates.
+    fn blocks_in_step(leaders: &Leaders, points: Points<'_>) -> bool {
+        if leaders.coords.is_empty() {
+            return leaders.blocks.is_empty();
+        }
+        leaders.blocks.len() == leaders.rows.len().div_ceil(LANES)
+            && leaders.rows.iter().enumerate().all(|(id, &r)| {
+                leaders.coords.iter().enumerate().all(|(f, &c)| {
+                    leaders.blocks[id / LANES][f][id % LANES].to_bits()
+                        == points.row(r)[c].to_bits()
+                })
+            })
+    }
+
+    #[test]
+    fn a_scan_that_starts_empty_picks_the_bound_and_drops_it_for_a_nan() {
+        let mut rng = StdRng::seed_from_u64(0xB00D);
+        let dim = 6;
+        let limit = 1.0;
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        let mut scan = LeaderScan::new(limit, Points::new(&[], 0));
+        for i in 0..300 {
+            let row: Vec<f64> = if i == 200 {
+                vec![0.5, f64::NAN, 0.0, 0.0, 0.0, 0.0]
+            } else {
+                (0..dim)
+                    .map(|_| f64::from(rng.gen_range(-4..=4i32)) * 0.5)
+                    .collect()
+            };
+            let at = rows.partition_point(|r| {
+                r.iter()
+                    .zip(&row)
+                    .map(|(x, y)| x.total_cmp(y))
+                    .find(|c| c.is_ne())
+                    .is_some_and(|c| c.is_lt())
+            });
+            rows.insert(at, row);
+            let data = rows.concat();
+            let points = Points::new(&data, dim);
+            scan.insert(points, at);
+            let fresh = LeaderScan::new(limit, points);
+            assert_eq!(scan.assignments(), fresh.assignments(), "after row {i}");
+            assert_eq!(scan.leaders(), fresh.leaders(), "after row {i}");
+            assert_eq!(scan.leaders.coords.is_empty(), i >= 200, "after row {i}");
+            assert!(blocks_in_step(&scan.leaders, points), "after row {i}");
+        }
     }
 }

@@ -18,6 +18,11 @@ static STAGE_FEATURES: Stage = Stage::new(
     "pipeline.feature_extraction_ns",
 );
 
+// Per-frame normalisation, cost weighting and optional PCA projection of
+// the feature matrix, before the backend fit.
+static STAGE_NORMALIZE: Stage =
+    Stage::new("pipeline", "pipeline.normalize", "pipeline.normalize_ns");
+
 /// One cluster of similar draws within a frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DrawCluster {
@@ -220,6 +225,7 @@ fn extract(frame: &Frame, workload: &Workload, config: &SubsetConfig) -> Option<
 /// backend over it.
 fn cluster_features(mut matrix: FeatureMatrix, config: &SubsetConfig) -> FrameClustering {
     let draw_count = matrix.rows();
+    let stage = STAGE_NORMALIZE.enter();
     matrix.normalize(config.normalization);
     if config.cost_weighting {
         matrix.apply_cost_weights();
@@ -236,6 +242,7 @@ fn cluster_features(mut matrix: FeatureMatrix, config: &SubsetConfig) -> FrameCl
             (data, dim)
         })
     });
+    stage.end();
     let points = match &projected {
         Some((data, dim)) => Points::new(data, *dim),
         None => Points::new(matrix.as_slice(), matrix.cols()),

@@ -26,7 +26,7 @@
 //! 5. **Frozen references** ([`reference`](mod@reference)) — the scalar leader scan,
 //!    medoid and canonical presort over one `Vec<f64>` per point, and the
 //!    column-at-a-time feature normaliser, frozen as the bit-for-bit
-//!    references of the production lane-block kernel and one-pass
+//!    references of the production threshold kernel and one-pass
 //!    normaliser.
 //!
 //! [`corpus`] supplies the fixed-seed workloads every layer runs against.

@@ -1,12 +1,15 @@
-//! Differential test of the threshold kernel: the production fit (lane
-//! blocks, sorted window, pair-once medoids over flat points) against the
+//! Differential test of the threshold kernel: the production fit (pruning
+//! bound, sorted window, pair-once medoids over flat points) against the
 //! frozen scalar reference in `subset3d_testkit::reference`, compared on
 //! assignments, centroid bits and representatives.
 //!
-//! Inputs cover every dimensionality from 1 to 24 (so every lane remainder
-//! occurs), 0 to 300 points with leader counts on both sides of multiples
-//! of the lane width, forced duplicate rows and coordinate-0 ties, and
-//! `-0.0`, ±inf and NaN in any coordinate, at thresholds 0, 1.02 and +inf.
+//! Inputs cover every dimensionality from 1 to 24 (so every bound width
+//! from none to four coordinates occurs), 0 to 300 points with leader
+//! counts on both sides of multiples of the block width, forced duplicate
+//! rows and coordinate-0 ties, and `-0.0`, ±inf and NaN in any coordinate
+//! (which turn the bound off), at thresholds 0, 1.02 and +inf. Finite-only
+//! cases of up to 1,500 points in 19 dimensions keep the bound on and grow
+//! windows past the corpus's 72 leaders.
 
 use proptest::prelude::*;
 use subset3d_cluster::{
@@ -23,7 +26,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Canonical-order input through `Subsetter::fit`: presort, sorted
-    /// window (when coordinate 0 is NaN-free), lane blocks and medoids.
+    /// window (when coordinate 0 is NaN-free), pruning bound (when every
+    /// coordinate is finite) and medoids.
     #[test]
     fn subsetter_fit_matches_the_reference(
         seed in any::<u64>(),
@@ -94,12 +98,38 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Finite rows in the corpus's 19 dimensions, up to 1,500 of them:
+    /// the bound is on in every case, and at threshold 1.02 the sorted
+    /// window holds hundreds of leaders. Both entry points, on canonical
+    /// and on arbitrary order.
+    #[test]
+    fn finite_rows_at_window_scale_match_the_reference(
+        seed in any::<u64>(),
+        n in 0usize..=1500,
+        threshold in 0usize..3,
+    ) {
+        let t = THRESHOLDS[threshold];
+        let rows = rows(seed, n, 19, 1.0, 0);
+        let flat = rows.concat();
+        let points = Points::new(&flat, 19);
+        let got = ThresholdSubsetter::new(t).fit(points);
+        let r = same_fit(&got, &reference::threshold_subset_fit(&rows, t));
+        prop_assert!(r.is_ok(), "n={n} t={t}: {r:?}");
+        let got = ThresholdClustering::new(t).fit(points);
+        let r = same_clustering(&got, &reference::threshold_fit(&rows, t));
+        prop_assert!(r.is_ok(), "n={n} t={t} unsorted: {r:?}");
+    }
+}
+
 #[test]
 fn leader_counts_cross_lane_multiples() {
     // The generator must actually produce the block shapes the kernel
-    // distinguishes: a fit with no sealed block, fits whose leader count
-    // is exactly a multiple of eight, and fits with several blocks and a
-    // partial tail.
+    // distinguishes: a fit within one partly filled block, fits whose
+    // leader count is exactly a multiple of eight, and fits with several
+    // blocks and a partial tail.
     let mut counts = std::collections::BTreeSet::new();
     for seed in 0..200u64 {
         let n = (seed as usize * 7) % 301;

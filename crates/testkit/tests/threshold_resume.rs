@@ -4,9 +4,11 @@
 //! resumes the leader scan from each inserted row. Its contract is the
 //! batch fit over the retained points, bit for bit, after every ingest —
 //! within reservoir capacity and past it, where each kept point replaces a
-//! slot and the ingest re-runs the scan. The property drives it with the
-//! hostile rows of the threshold-kernel test; the stream test drives a
-//! serve session with a benchmark-shaped frame stream.
+//! slot and the ingest re-runs the scan. The properties drive it with the
+//! hostile rows of the threshold-kernel test, the second with finite rows
+//! and one NaN, so the pruning bound is picked as rows arrive and dropped
+//! mid-stream; the stream test drives a serve session with a
+//! benchmark-shaped frame stream.
 
 use proptest::prelude::*;
 use subset3d_cluster::{Points, Subsetter, ThresholdSubsetter};
@@ -65,6 +67,42 @@ proptest! {
         }
         prop_assert_eq!(inc.points_seen(), n);
         prop_assert_eq!(inc.retained().len(), n.min(capacity.max(1)));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A finite stream in 19 dimensions that starts empty, so the scan
+    /// picks its bound coordinates as rows arrive, with one NaN row in
+    /// mid-stream, which turns the bound off (and the sorted window too
+    /// when the NaN is in coordinate 0). Within capacity every ingest
+    /// resumes the scan; the fit equals the batch fit after each one.
+    #[test]
+    fn a_finite_stream_with_a_nan_matches_the_batch_fit_after_every_ingest(
+        seed in any::<u64>(),
+        n in 2usize..=240,
+        nan_coord in 0usize..19,
+        threshold in 0usize..3,
+        chunks in prop::collection::vec(1usize..=5, 1..8),
+    ) {
+        let t = THRESHOLDS[threshold];
+        let mut rows = hostile_rows(seed, n, 19, 1.0, 0);
+        rows[n / 2][nan_coord] = f64::NAN;
+        let flat = rows.concat();
+        let backend = ThresholdSubsetter::new(t);
+        let mut inc = backend.incremental(n, seed);
+        let mut fed = 0;
+        for &chunk in chunks.iter().cycle() {
+            if fed == n {
+                break;
+            }
+            let end = (fed + chunk).min(n);
+            inc.ingest(Points::new(&flat[fed * 19..end * 19], 19));
+            fed = end;
+            let r = same_fit_bits(&inc.fit(), &backend.fit(inc.retained()));
+            prop_assert!(r.is_ok(), "n={n} t={t} after {fed} points: {r:?}");
+        }
     }
 }
 
