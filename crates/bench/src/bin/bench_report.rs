@@ -21,10 +21,11 @@
 //! batch hit rate.
 //!
 //! The report additionally measures the cost of `subset3d-obs` metric
-//! recording and flight-mode event tracing (`metrics_overhead_pct` and
-//! `trace_overhead_pct`: medians of five interleaved off/on pairs on the
-//! workload_sim shape, clamped at zero with the signed medians kept in
-//! `*_raw_pct` and the pairs' interquartile ranges in `*_iqr_pct`,
+//! recording and flight-mode event tracing (`metrics_overhead_pct` on
+//! the iterated_sweep shape, the pass that records the most, and
+//! `trace_overhead_pct` on the workload_sim shape: medians of five
+//! interleaved off/on pairs, clamped at zero with the signed medians kept
+//! in `*_raw_pct` and the pairs' interquartile ranges in `*_iqr_pct`,
 //! budget < 2 %), embeds the `MetricsSnapshot` of an
 //! instrumented sweep-plus-pipeline pass, and runs the backend bake-off:
 //! every clustering methodology scored on prediction error, subsetting

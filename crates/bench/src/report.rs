@@ -81,8 +81,10 @@ pub struct Report {
     pub iterated_sweep: Scenario,
     /// Clustering + evaluation end to end.
     pub subsetting_pipeline: Scenario,
-    /// Wall-time cost of metric recording on the workload_sim shape:
-    /// median of [`OVERHEAD_REPS`] interleaved off/on pairs, in percent,
+    /// Wall-time cost of metric recording on the iterated_sweep shape (a
+    /// fresh session's [`SWEEP_PASSES`] sweeps, which count every
+    /// batch-cache probe, the most events any arm records): median of
+    /// [`OVERHEAD_REPS`] interleaved off/on pairs, in percent,
     /// clamped at zero. A negative median is scheduling noise, and a
     /// committed negative value poisons downstream absolute-budget
     /// checks; the signed median survives in `metrics_overhead_raw_pct`.
@@ -98,8 +100,9 @@ pub struct Report {
     /// predating the field, hence the default.
     #[serde(default)]
     pub metrics_overhead_iqr_pct: f64,
-    /// Wall-time cost of flight-recorder event tracing on the same
-    /// shape, measured and clamped like `metrics_overhead_pct`. Absent
+    /// Wall-time cost of flight-recorder event tracing on the
+    /// workload_sim shape, measured and clamped like
+    /// `metrics_overhead_pct`. Absent
     /// from reports predating the tracing layer, hence the default.
     #[serde(default)]
     pub trace_overhead_pct: f64,
@@ -549,6 +552,15 @@ pub fn collect() -> Report {
         }
         session.cache_stats().batch_hit_rate()
     };
+    // A fresh session swept `SWEEP_PASSES` times: the speedup arm's
+    // optimized side, and the pass the metrics overhead times, since it
+    // records the most (one batch-cache count per probe).
+    let session_sweeps = || {
+        let session = SweepSession::new(&candidates).expect("session");
+        for _ in 0..SWEEP_PASSES {
+            session.sweep(&workload).expect("sweep");
+        }
+    };
     let (base, opt) = interleaved_best_ms(
         threads,
         || {
@@ -556,12 +568,7 @@ pub fn collect() -> Report {
                 sweep_configs(&workload, &candidates).expect("sweep");
             }
         },
-        || {
-            let session = SweepSession::new(&candidates).expect("session");
-            for _ in 0..SWEEP_PASSES {
-                session.sweep(&workload).expect("sweep");
-            }
-        },
+        session_sweeps,
     );
     let iterated_sweep = scenario(
         draws * candidates.len() * SWEEP_PASSES,
@@ -581,14 +588,15 @@ pub fn collect() -> Report {
     let subsetting_pipeline = scenario(draws, base, opt, None);
 
     // -- observability overhead ----------------------------------------
-    // Same shape as workload_sim's optimized arm; each rep interleaves
-    // an off and an on pass so machine drift cancels.
+    // Metrics on the iterated sweep's optimized arm, tracing on
+    // workload_sim's; each rep interleaves an off and an on pass so
+    // machine drift cancels.
     let metrics_overhead = paired_overhead_pct(
-        || one_ms(sim_pass),
+        || one_ms(session_sweeps),
         || {
             subset3d_obs::reset();
             subset3d_obs::set_enabled(true);
-            let ms = one_ms(sim_pass);
+            let ms = one_ms(session_sweeps);
             subset3d_obs::set_enabled(false);
             ms
         },
@@ -649,7 +657,7 @@ pub fn collect() -> Report {
     // measured cost is the full CLI telemetry path — metric recording
     // plus per-round registry snapshots and rolling-digest merges. Each
     // arm is itself a median of [`RUNS`] replays: a replay is ~25× the
-    // wall time of the sim pass behind the other overheads and its
+    // wall time of the sim pass behind the trace overhead and its
     // 4-session pool scheduling is noisy enough that single-shot pairs
     // once committed a pure-noise reading over the 2 % budget.
     let serve_config = ServeConfig::default();

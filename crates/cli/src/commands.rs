@@ -479,12 +479,6 @@ fn run_stats(args: &StatsArgs, out: &mut dyn Write) -> Result<(), CliError> {
         ]);
     }
     writeln!(out, "{}", table.render())?;
-    writeln!(
-        out,
-        "metric shards: {}/{} thread slots in use",
-        subset3d_obs::shard_slots_in_use(),
-        subset3d_obs::shard_capacity()
-    )?;
     Ok(())
 }
 
@@ -1279,7 +1273,6 @@ mod tests {
         let table = run(&["stats", &trace]).unwrap();
         assert!(table.contains("gpusim.batch_cache.hits"));
         assert!(table.contains("pipeline.total_ns"));
-        assert!(table.contains("metric shards:"));
         std::fs::remove_file(&trace).ok();
     }
 

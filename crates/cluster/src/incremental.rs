@@ -36,7 +36,7 @@
 use crate::clustering::Clustering;
 use crate::medoid::medoid_of;
 use crate::points::Points;
-use crate::subsetter::{canonical_cmp, Subsetter, SubsetterFit};
+use crate::subsetter::{canonical_cmp, fit_with_medoids, Subsetter, SubsetterFit};
 use crate::threshold::{LeaderScan, ThresholdClustering};
 
 /// A subsetter fit that absorbs points one chunk at a time.
@@ -515,17 +515,10 @@ impl<S: Subsetter + Clone + Send> IncrementalFit for OnlineKMeans<S> {
                     .unwrap_or(0)
             })
             .collect();
-        let mut clustering = Clustering::new(assignments, self.centroids.clone());
-        clustering.drop_empty();
-        let representatives = clustering
-            .members()
-            .iter()
-            .map(|members| medoid_of(retained, members).expect("non-empty cluster has a medoid"))
-            .collect();
-        SubsetterFit {
-            clustering,
-            representatives,
-        }
+        fit_with_medoids(
+            retained,
+            Clustering::new(assignments, self.centroids.clone()),
+        )
     }
 
     fn points_seen(&self) -> usize {

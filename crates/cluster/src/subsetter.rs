@@ -171,7 +171,7 @@ pub(crate) fn canonical_cmp(a: (&[f64], usize), b: (&[f64], usize)) -> std::cmp:
 
 /// Builds a fit from a partition by electing each cluster's medoid as its
 /// representative, dropping empty clusters first.
-fn fit_with_medoids(points: Points<'_>, mut clustering: Clustering) -> SubsetterFit {
+pub(crate) fn fit_with_medoids(points: Points<'_>, mut clustering: Clustering) -> SubsetterFit {
     let _stage = STAGE_MEDOIDS.enter();
     clustering.drop_empty();
     let representatives = clustering

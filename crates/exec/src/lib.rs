@@ -27,14 +27,16 @@
 //! variable (falling back to the machine's available parallelism) and
 //! can be resized at runtime with [`set_thread_count`].
 //!
-//! # Small-workload serial fallback
+//! # Serial fallback
 //!
-//! Announcing a batch to the workers costs a channel send and a wakeup
-//! per worker — more than a tiny batch saves. Batches with fewer than
-//! [`DEFAULT_SERIAL_THRESHOLD`] items therefore run inline on the
-//! caller. Because results always land at their item's index, the
-//! fallback is invisible to callers: outputs are bit-identical either
-//! way (covered by the determinism test).
+//! A batch runs inline on the caller only when there is nothing to share:
+//! on a 1-thread pool, or when it holds at most one item. Every batch of
+//! two or more items fans out, so a handful of expensive items (a
+//! six-candidate sweep, a two-session serve replay) still runs in
+//! parallel; a site whose items are too cheap to announce keeps its own
+//! serial rule before it calls the pool. Because results always land at
+//! their item's index, the fallback is invisible to callers: outputs are
+//! bit-identical either way (covered by the determinism test).
 //!
 //! # Panics
 //!
@@ -57,12 +59,6 @@ use subset3d_obs::{LazyCounter, LazyHistogram};
 
 /// Environment variable overriding the global pool's thread count.
 pub const THREADS_ENV: &str = "SUBSET3D_THREADS";
-
-/// Batch size below which [`ThreadPool::par_map_indexed`] runs inline
-/// on the caller instead of fanning out. Small enough that the
-/// six-candidate pathfinding sweep (few items, each expensive) still
-/// parallelises.
-pub const DEFAULT_SERIAL_THRESHOLD: usize = 4;
 
 // Executor metrics (recorded only while `subset3d_obs` is enabled):
 // batches dispatched, items executed on the caller vs. each worker,
@@ -194,10 +190,6 @@ impl ThreadPool {
                     std::thread::Builder::new()
                         .name(format!("subset3d-exec-{i}"))
                         .spawn(move || {
-                            // Claim this worker's metric shard slot up
-                            // front so the one-time claim (a mutex) never
-                            // lands inside a timed batch.
-                            subset3d_obs::claim_thread_slot();
                             for batch in rx.iter() {
                                 batch.note_dequeued();
                                 tasks.add(batch.work() as u64);
@@ -250,7 +242,7 @@ impl ThreadPool {
     {
         let chunk = chunk.max(1);
         let n = items.len();
-        if self.threads <= 1 || n <= 1 || n < DEFAULT_SERIAL_THRESHOLD {
+        if self.threads <= 1 || n <= 1 {
             let _span =
                 subset3d_obs::trace_span_arg("exec", "exec.batch.serial", "items", n as u64);
             return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
@@ -640,19 +632,36 @@ mod tests {
             })
         };
         let inline = ThreadPool::new(1); // no workers: everything inline
-        let fanned = ThreadPool::new(8); // 100 items: fanned out
-        let serial = run(&inline, &items);
-        let parallel = run(&fanned, &items);
-        assert_eq!(serial.len(), parallel.len());
-        for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "item {i} diverged");
+        let fanned = ThreadPool::new(8); // two or more items: fanned out
+        for n in [1, 2, 3, 100] {
+            let serial = run(&inline, &items[..n]);
+            let parallel = run(&fanned, &items[..n]);
+            assert_eq!(serial.len(), n);
+            assert_eq!(parallel.len(), n);
+            for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{n} items: item {i} diverged");
+            }
         }
-        // Below the threshold the 8-thread pool runs inline too.
-        let small = &items[..DEFAULT_SERIAL_THRESHOLD - 1];
-        let below = run(&fanned, small);
-        for (i, (a, b)) in below.iter().zip(&serial).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "small-batch item {i} diverged");
-        }
+    }
+
+    #[test]
+    fn two_item_batches_run_concurrently() {
+        // Each item waits until both have started, so the batch only
+        // completes promptly if the two items run on different threads;
+        // run one after the other, the first item gives up at the
+        // deadline having seen only itself.
+        use std::time::Duration;
+        let pool = ThreadPool::new(2);
+        let arrived = AtomicUsize::new(0);
+        let seen = pool.par_map_indexed(&[0u8, 1], |_, _| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while arrived.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            arrived.load(Ordering::SeqCst)
+        });
+        assert_eq!(seen, vec![2, 2], "a 2-item batch ran its items serially");
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Labeled metric families: a small fixed set of label slots layered
-//! over the sharded primitives.
+//! over the metric primitives.
 //!
 //! A family is one metric name fanned out across a bounded table of
 //! *label slots* (`session_id`, backend, pipeline stage…). Each slot
-//! owns a full sharded [`Gauge`] or [`Histogram`], so the
-//! recording hot path is exactly the unlabeled path — an uncontended
-//! relaxed store into the calling thread's shard of the slot's metric —
+//! owns its own [`Gauge`] or [`Histogram`], so the recording hot path is
+//! exactly the unlabeled path — relaxed atomics on the slot's metric —
 //! plus one array index. All label bookkeeping (claim, release,
 //! recycling) happens on a cold mutex.
 //!

@@ -17,16 +17,16 @@
 //! Metrics are **off by default**. Every recording call checks one
 //! process-global `AtomicBool` with a relaxed load before doing anything
 //! else, so the disabled cost of an instrumented hot path is a
-//! predictable branch. When enabled, each event is a plain relaxed
-//! store into the calling thread's own cache-line-padded shard of the
-//! metric (see [`shard`] for the thread-slot registry) — no lock prefix,
-//! no cache line shared between recording threads — and snapshots
-//! aggregate across shards at read time. A stage entered with either
-//! layer on reads the clock twice, at entry and at drop, and both layers
-//! take that one reading. The enabled cost is budgeted at 2 % of the
-//! fully parallel bench pass (process-global `fetch_add` counters used to
-//! cost ~5 % there). `bench_report` measures it as `metrics_overhead_pct`
-//! in `BENCH_pipeline.json`, and the tier-1 `bench_diff --check
+//! predictable branch. When enabled, each event is a few relaxed atomic
+//! read-modify-writes on the metric's own 128-byte-aligned block (see
+//! [`Counter`] and [`Histogram`]) — no lock, and no cache line shared
+//! with another metric — and a snapshot reads each field once. A stage
+//! entered with either layer on reads the clock twice, at entry and at
+//! drop, and both layers take that one reading. The enabled cost is
+//! budgeted at 2 % of the pass that records the most: a fresh sweep
+//! session's iterated sweeps, which count every batch-cache probe.
+//! `bench_report` measures it as `metrics_overhead_pct` in
+//! `BENCH_pipeline.json`, and the tier-1 `bench_diff --check
 //! --max-overhead 2` step compares it with the budget, but that step is
 //! report-only, and on a 2-vCPU host it often reads `unresolved` because
 //! the paired readings spread wider than the budget (see ROADMAP.md).
@@ -88,7 +88,6 @@ mod family;
 mod metrics;
 pub mod prom;
 mod registry;
-pub mod shard;
 mod snapshot;
 pub mod timeseries;
 mod trace;
@@ -103,7 +102,6 @@ pub use prom::{to_prometheus, validate_prometheus, PromStats};
 pub use registry::{
     counter, gauge_family, histogram, histogram_family, LazyCounter, LazyHistogram,
 };
-pub use shard::{claim_thread_slot, shard_capacity, shard_slots_in_use, MAX_SHARDS};
 pub use snapshot::{BucketCount, FamilyCell, FamilySnapshot, HistogramSnapshot, MetricsSnapshot};
 pub use timeseries::{
     timeseries_from_jsonl, timeseries_to_jsonl, validate_timeseries, HistogramDelta, MetricsDelta,

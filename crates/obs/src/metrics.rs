@@ -1,28 +1,27 @@
 //! The three metric primitives: counter, gauge, latency histogram.
 //!
-//! Each primitive owns a table of [`MAX_SHARDS`] cache-line-padded
-//! shards, one per thread-slot (see [`crate::shard`]): recording writes
-//! only the calling thread's shard — a plain relaxed load/store on an
-//! exclusively owned slot, a relaxed `fetch_add` on the shared overflow
-//! slot — and reads aggregate across the table. No recording path takes
-//! a lock or touches a cache line another thread is writing.
+//! Each primitive is one 128-byte-aligned block of relaxed atomics that
+//! every recording thread updates in place: `fetch_add` for counts and
+//! sums, `fetch_min`/`fetch_max` for a histogram's extrema, a plain
+//! `store` for a gauge. No recording path takes a lock, and the
+//! alignment keeps two metrics off one cache-line pair (the spatial
+//! prefetcher pulls lines two at a time), so threads recording into
+//! different metrics never contend.
 //!
-//! Aggregated reads are *consistent enough*, not atomic: a snapshot
-//! taken while other threads record can trail by a few events per shard,
-//! and a histogram read can transiently see a bucket/sum/min/max update
-//! whose `count` increment has not landed yet (the count is bumped
-//! last, so a torn read undercounts rather than inventing values).
-//! Emptiness is therefore judged per field by sentinel — never inferred
-//! from `count` — which is what keeps `min_ns()`/`max_ns()` from
-//! reporting a phantom `0` mid-record. Reads taken after the observed
-//! work has completed are exact, including events recorded by threads
-//! that have since exited (shards outlive their owning thread).
+//! Reads are *consistent enough*, not atomic: a snapshot taken while
+//! other threads record can trail by a few events, and a histogram read
+//! can transiently see a bucket/sum/min/max update whose `count`
+//! increment has not landed yet (the count is bumped last, so a torn
+//! read undercounts rather than inventing values). Emptiness is
+//! therefore judged per field by sentinel — never inferred from `count`
+//! — which is what keeps `min_ns()`/`max_ns()` from reporting a phantom
+//! `0` mid-record. Reads taken after the observed work has completed are
+//! exact, including events recorded by threads that have since exited.
 //!
 //! [`reset`](Counter::reset) is not synchronised against concurrent
 //! recording; every caller (bench harness, CLI, tests) resets between
 //! runs, not during them.
 
-use crate::shard::{self, MAX_SHARDS};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Buckets of a latency [`Histogram`]: bucket `i` counts values in
@@ -31,53 +30,20 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 /// the pipeline.
 pub const HISTOGRAM_BUCKETS: usize = 40;
 
-/// One padded counter slot. 128-byte alignment keeps adjacent slots —
-/// each written by a different thread — on separate cache-line pairs
-/// (the spatial prefetcher pulls lines two at a time).
-#[repr(align(128))]
-#[derive(Debug)]
-struct PadU64(AtomicU64);
-
-#[repr(align(128))]
-#[derive(Debug)]
-struct PadI64(AtomicI64);
-
-/// Adds `n` to an exclusively owned slot with plain relaxed loads and
-/// stores: the owner is the slot's only writer, so the unfenced
-/// read-modify-write cannot lose updates.
-#[inline]
-fn bump_exclusive(cell: &AtomicU64, n: u64) {
-    cell.store(
-        cell.load(Ordering::Relaxed).wrapping_add(n),
-        Ordering::Relaxed,
-    );
-}
-
 /// A monotonically increasing event count.
 ///
-/// Recording is one relaxed store into the calling thread's shard behind
-/// the global enabled check; [`get`](Counter::get) sums the shards. All
-/// operations are thread-safe.
-#[derive(Debug)]
+/// Recording is one relaxed `fetch_add` behind the global enabled
+/// check. All operations are thread-safe.
+#[repr(align(128))]
+#[derive(Debug, Default)]
 pub struct Counter {
-    shards: [PadU64; MAX_SHARDS],
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Self::new()
-    }
+    value: AtomicU64,
 }
 
 impl Counter {
     pub(crate) const fn new() -> Self {
-        // `AtomicU64::new` is const, but array-repeat needs a const item.
-        // Each repeat instantiates a fresh atomic, which is exactly what
-        // an all-zero shard table wants.
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: PadU64 = PadU64(AtomicU64::new(0));
         Counter {
-            shards: [ZERO; MAX_SHARDS],
+            value: AtomicU64::new(0),
         }
     }
 
@@ -85,13 +51,7 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         if crate::enabled() {
-            let slot = shard::slot();
-            let cell = &self.shards[slot.idx].0;
-            if slot.exclusive {
-                bump_exclusive(cell, n);
-            } else {
-                cell.fetch_add(n, Ordering::Relaxed);
-            }
+            self.value.fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -101,39 +61,31 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current count, aggregated across every thread's shard.
+    /// The current count.
     pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .fold(0u64, |acc, s| acc.wrapping_add(s.0.load(Ordering::Relaxed)))
+        self.value.load(Ordering::Relaxed)
     }
 
     pub(crate) fn reset(&self) {
-        for s in &self.shards {
-            s.0.store(0, Ordering::Relaxed);
-        }
+        self.value.store(0, Ordering::Relaxed);
     }
 }
 
 /// A signed instantaneous value: the cell of a labeled
 /// [`GaugeFamily`](crate::GaugeFamily) (a session's reservoir occupancy).
 ///
-/// Shards hold per-thread *deltas*; [`get`](Gauge::get) sums them.
-/// [`set`](Gauge::set) rebases the sum through the calling thread's
-/// shard, which is exact for a single-owner gauge (the intended shape)
-/// but racy when several threads `set` concurrently — last writer does
-/// *not* reliably win there.
+/// [`set`](Gauge::set) is one relaxed store, so when several threads set
+/// the gauge concurrently the last writer wins.
+#[repr(align(128))]
 #[derive(Debug)]
 pub struct Gauge {
-    shards: [PadI64; MAX_SHARDS],
+    value: AtomicI64,
 }
 
 impl Gauge {
     pub(crate) const fn new() -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: PadI64 = PadI64(AtomicI64::new(0));
         Gauge {
-            shards: [ZERO; MAX_SHARDS],
+            value: AtomicI64::new(0),
         }
     }
 
@@ -141,35 +93,17 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: i64) {
         if crate::enabled() {
-            self.add_delta(v.wrapping_sub(self.get()));
+            self.value.store(v, Ordering::Relaxed);
         }
     }
 
-    #[inline]
-    fn add_delta(&self, delta: i64) {
-        let slot = shard::slot();
-        let cell = &self.shards[slot.idx].0;
-        if slot.exclusive {
-            cell.store(
-                cell.load(Ordering::Relaxed).wrapping_add(delta),
-                Ordering::Relaxed,
-            );
-        } else {
-            cell.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    /// The current value, aggregated across every thread's shard.
+    /// The current value.
     pub fn get(&self) -> i64 {
-        self.shards
-            .iter()
-            .fold(0i64, |acc, s| acc.wrapping_add(s.0.load(Ordering::Relaxed)))
+        self.value.load(Ordering::Relaxed)
     }
 
     pub(crate) fn reset(&self) {
-        for s in &self.shards {
-            s.0.store(0, Ordering::Relaxed);
-        }
+        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -178,62 +112,30 @@ impl Gauge {
 /// from saturating — 2^64 − 2 ns is still over five centuries.
 const MAX_RECORDABLE_NS: u64 = u64::MAX - 1;
 
-/// The empty [`HistShard::min_ns`] sentinel.
+/// The empty [`Histogram::min_ns`] sentinel.
 const MIN_EMPTY: u64 = u64::MAX;
-
-/// One thread's slice of a histogram. A shard is written by one thread
-/// only (bar the shared overflow slot), so the whole struct is padded as
-/// a unit rather than per field.
-#[repr(align(128))]
-#[derive(Debug)]
-struct HistShard {
-    counts: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-    /// Smallest recorded value; [`MIN_EMPTY`] while the shard is empty.
-    min_ns: AtomicU64,
-    /// Largest recorded value **plus one**; `0` while the shard is
-    /// empty. The offset encoding lets a recorded `0 ns` be told apart
-    /// from "nothing recorded" without consulting `count` — consulting
-    /// `count` is exactly the torn read this layer used to have.
-    max_ns: AtomicU64,
-}
-
-impl HistShard {
-    #[allow(clippy::declare_interior_mutable_const)]
-    const EMPTY: HistShard = {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-        HistShard {
-            counts: [ZERO; HISTOGRAM_BUCKETS],
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-            min_ns: AtomicU64::new(MIN_EMPTY),
-            max_ns: AtomicU64::new(0),
-        }
-    };
-
-    fn reset(&self) {
-        for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_ns.store(0, Ordering::Relaxed);
-        self.min_ns.store(MIN_EMPTY, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
-    }
-}
 
 /// A fixed-bucket (power-of-two nanoseconds) latency histogram.
 ///
 /// The bucket layout is fixed at compile time so recording never
-/// allocates or takes a lock: bucket/count/sum/min/max updates land in
-/// the calling thread's shard as plain relaxed stores. Percentile-grade
-/// precision is not the goal — locating a stage's cost within a factor
-/// of two is.
+/// allocates or takes a lock: the bucket, sum, min, max and count
+/// updates are relaxed atomic read-modify-writes on the histogram's own
+/// fields. Percentile-grade precision is not the goal — locating a
+/// stage's cost within a factor of two is.
+#[repr(align(128))]
 #[derive(Debug)]
 pub struct Histogram {
-    shards: [HistShard; MAX_SHARDS],
+    counts: [AtomicU64; HISTOGRAM_BUCKETS],
+    count: AtomicU64,
+    sum_ns: AtomicU64,
+    /// Smallest recorded value; [`MIN_EMPTY`] while the histogram is
+    /// empty.
+    min_ns: AtomicU64,
+    /// Largest recorded value **plus one**; `0` while the histogram is
+    /// empty. The offset encoding lets a recorded `0 ns` be told apart
+    /// from "nothing recorded" without consulting `count` — consulting
+    /// `count` is exactly the torn read this layer used to have.
+    max_ns: AtomicU64,
 }
 
 impl Default for Histogram {
@@ -256,8 +158,17 @@ pub(crate) fn bucket_bound(i: usize) -> u64 {
 
 impl Histogram {
     pub(crate) const fn new() -> Self {
+        // `AtomicU64::new` is const, but array-repeat needs a const item.
+        // Each repeat instantiates a fresh atomic, which is exactly what
+        // an all-zero bucket table wants.
+        #[allow(clippy::declare_interior_mutable_const)]
+        const ZERO: AtomicU64 = AtomicU64::new(0);
         Histogram {
-            shards: [HistShard::EMPTY; MAX_SHARDS],
+            counts: [ZERO; HISTOGRAM_BUCKETS],
+            count: AtomicU64::new(0),
+            sum_ns: AtomicU64::new(0),
+            min_ns: AtomicU64::new(MIN_EMPTY),
+            max_ns: AtomicU64::new(0),
         }
     }
 
@@ -270,53 +181,30 @@ impl Histogram {
             return;
         }
         let ns = ns.min(MAX_RECORDABLE_NS);
-        let slot = shard::slot();
-        let sh = &self.shards[slot.idx];
-        if slot.exclusive {
-            bump_exclusive(&sh.counts[bucket_of(ns)], 1);
-            bump_exclusive(&sh.sum_ns, ns);
-            if ns < sh.min_ns.load(Ordering::Relaxed) {
-                sh.min_ns.store(ns, Ordering::Relaxed);
-            }
-            if ns + 1 > sh.max_ns.load(Ordering::Relaxed) {
-                sh.max_ns.store(ns + 1, Ordering::Relaxed);
-            }
-            // Count last: a concurrent aggregation may miss this event
-            // entirely, but never sees a count without its value.
-            bump_exclusive(&sh.count, 1);
-        } else {
-            sh.counts[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-            sh.sum_ns.fetch_add(ns, Ordering::Relaxed);
-            sh.min_ns.fetch_min(ns, Ordering::Relaxed);
-            sh.max_ns.fetch_max(ns + 1, Ordering::Relaxed);
-            sh.count.fetch_add(1, Ordering::Relaxed);
-        }
+        self.counts[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.min_ns.fetch_min(ns, Ordering::Relaxed);
+        self.max_ns.fetch_max(ns + 1, Ordering::Relaxed);
+        // Count last: a concurrent read may miss this event entirely,
+        // but never sees a count without its value.
+        self.count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of recorded durations.
     pub fn count(&self) -> u64 {
-        self.shards.iter().fold(0u64, |acc, s| {
-            acc.wrapping_add(s.count.load(Ordering::Relaxed))
-        })
+        self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all recorded durations in nanoseconds.
     pub fn sum_ns(&self) -> u64 {
-        self.shards.iter().fold(0u64, |acc, s| {
-            acc.wrapping_add(s.sum_ns.load(Ordering::Relaxed))
-        })
+        self.sum_ns.load(Ordering::Relaxed)
     }
 
     /// Smallest recorded duration (`None` when empty). Emptiness is the
     /// field's own sentinel, never inferred from [`count`](Self::count),
     /// so a concurrent recorder can never surface a phantom value.
     pub fn min_ns(&self) -> Option<u64> {
-        let min = self
-            .shards
-            .iter()
-            .map(|s| s.min_ns.load(Ordering::Relaxed))
-            .min()
-            .unwrap_or(MIN_EMPTY);
+        let min = self.min_ns.load(Ordering::Relaxed);
         (min != MIN_EMPTY).then_some(min)
     }
 
@@ -324,37 +212,43 @@ impl Histogram {
     /// [`min_ns`](Self::min_ns) — a mid-record reader sees `None`, never
     /// a phantom `0`).
     pub fn max_ns(&self) -> Option<u64> {
-        let max = self
-            .shards
-            .iter()
-            .map(|s| s.max_ns.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0);
-        match max {
+        match self.max_ns.load(Ordering::Relaxed) {
             0 => None,
             m => Some(m - 1),
         }
     }
 
-    /// Per-bucket counts aggregated across shards, in bucket order.
+    /// Per-bucket counts, in bucket order.
     pub(crate) fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        std::array::from_fn(|i| {
-            self.shards.iter().fold(0u64, |acc, s| {
-                acc.wrapping_add(s.counts[i].load(Ordering::Relaxed))
-            })
-        })
+        std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed))
     }
 
     pub(crate) fn reset(&self) {
-        for s in &self.shards {
-            s.reset();
+        for c in &self.counts {
+            c.store(0, Ordering::Relaxed);
         }
+        self.count.store(0, Ordering::Relaxed);
+        self.sum_ns.store(0, Ordering::Relaxed);
+        self.min_ns.store(MIN_EMPTY, Ordering::Relaxed);
+        self.max_ns.store(0, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn each_metric_is_one_aligned_block() {
+        // One cell per metric, padded to a 128-byte cache-line pair so
+        // two metrics never share one.
+        assert_eq!(std::mem::size_of::<Counter>(), 128);
+        assert_eq!(std::mem::size_of::<Gauge>(), 128);
+        assert_eq!(std::mem::size_of::<Histogram>(), 384);
+        assert_eq!(std::mem::align_of::<Counter>(), 128);
+        assert_eq!(std::mem::align_of::<Gauge>(), 128);
+        assert_eq!(std::mem::align_of::<Histogram>(), 128);
+    }
 
     #[test]
     fn bucket_layout_is_power_of_two() {
@@ -389,9 +283,10 @@ mod tests {
         // `max_ns() == Some(0)` (max keyed off the count) while
         // `min_ns()` said `None` (sentinel) — two different answers to
         // "is this histogram empty". Both are sentinel-based now: a
-        // shard with a count but untouched extrema reports *no* extrema.
+        // histogram with a count but untouched extrema reports *no*
+        // extrema.
         let h = Histogram::new();
-        h.shards[0].count.store(3, Ordering::Relaxed);
+        h.count.store(3, Ordering::Relaxed);
         assert_eq!(h.count(), 3);
         assert_eq!(h.min_ns(), None, "phantom min from a torn read");
         assert_eq!(h.max_ns(), None, "phantom max from a torn read");

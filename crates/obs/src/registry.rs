@@ -72,7 +72,6 @@ impl Registry {
         MetricsSnapshot {
             enabled,
             reset_epoch: crate::reset_epoch(),
-            shard_churn_epoch: crate::shard::churn_epoch(),
             gauge_families: self
                 .gauge_families
                 .read()

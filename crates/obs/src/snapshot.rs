@@ -187,10 +187,6 @@ pub struct MetricsSnapshot {
     /// clamping to nothing.
     #[serde(default)]
     pub reset_epoch: u64,
-    /// Global count of thread shard-slot recyclings at snapshot time
-    /// (diagnostic; see [`crate::shard`]).
-    #[serde(default)]
-    pub shard_churn_epoch: u64,
     /// Labeled gauge families by name.
     #[serde(default)]
     pub gauge_families: BTreeMap<String, FamilySnapshot<i64>>,

@@ -1,4 +1,4 @@
-//! Regression tests for shard-slot conflation in delta snapshots.
+//! Regression tests for label-slot conflation in delta snapshots.
 //!
 //! The bug: a family label slot recycled between two samples (serve
 //! session churn) kept its slot index, so a naive `later - earlier`

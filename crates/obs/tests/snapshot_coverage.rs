@@ -164,10 +164,11 @@ fn metrics_snapshot_survives_serde_round_trip() {
 }
 
 #[test]
-fn files_written_with_scalar_gauges_and_counter_families_still_load() {
+fn files_written_with_retired_snapshot_fields_still_load() {
     // Snapshots and telemetry windows once carried `gauges` and
-    // `counter_families` maps; files written then must still load, with
-    // those maps ignored.
+    // `counter_families` maps, and snapshots a diagnostic count of
+    // recycled per-thread metric slots; files written then must still
+    // load, with those fields ignored.
     let snapshot = r#"{"enabled": true, "counters": {"exec.batches": 4},
         "gauges": {"exec.workers": 2}, "histograms": {},
         "reset_epoch": 1, "shard_churn_epoch": 0,

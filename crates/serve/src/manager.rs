@@ -102,8 +102,7 @@ struct SessionEntry {
 /// One lock guards the id → session map, and it covers only a lookup,
 /// insert or removal: every ingest runs under its own session's lock, so
 /// concurrent ingests into different sessions never wait on each other.
-/// Batched ingests fan out on the shared [`subset3d_exec`] pool, whose
-/// workers pre-claim [`subset3d_obs::shard`] thread slots.
+/// Batched ingests fan out on the shared [`subset3d_exec`] pool.
 pub struct SessionManager {
     sessions: Mutex<HashMap<u64, Arc<SessionEntry>>>,
     /// Zero point of every entry's `last_touched` age stamp.
@@ -195,10 +194,10 @@ impl SessionManager {
     }
 
     /// Ingests a batch of chunks into their sessions concurrently on the
-    /// shared [`subset3d_exec`] pool; each worker pre-claims an
-    /// [`subset3d_obs::shard`] thread slot. Results are in request order.
+    /// shared [`subset3d_exec`] pool. Results are in request order.
     ///
-    /// Requests for distinct sessions run in parallel; submitting the same
+    /// Requests for distinct sessions run in parallel whenever the pool
+    /// has two or more threads, from two requests up; submitting the same
     /// session twice in one batch is allowed but the two chunks land in an
     /// unspecified relative order — stream chunks to a session one batch at
     /// a time.
@@ -206,10 +205,7 @@ impl SessionManager {
         &self,
         requests: &[(SessionId, &[Frame])],
     ) -> Vec<Result<TimedUpdate, ServeError>> {
-        subset3d_exec::par_map_indexed(requests, |_, (id, frames)| {
-            subset3d_obs::claim_thread_slot();
-            self.ingest_timed(*id, frames)
-        })
+        subset3d_exec::par_map_indexed(requests, |_, (id, frames)| self.ingest_timed(*id, frames))
     }
 
     /// Runs a closure against a session's current state (e.g. to take a

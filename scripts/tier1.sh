@@ -138,7 +138,7 @@ cargo run -p subset3d-bench --bin bench_diff --release -- \
 # Metrics-overhead regression step: diff the observability overheads
 # (parallel-pass metrics/trace cost, plus serve-replay telemetry
 # sampling) with a 2 pp drift threshold and a 2 % absolute budget on the
-# candidate — the sharded-counter design target. A row whose paired
+# candidate — the 2 % instrumentation budget. A row whose paired
 # readings spread wider than the budget (IQR > 2 pp) reads unresolved
 # rather than regressed. Report-only for the same machine-variance
 # reason.
